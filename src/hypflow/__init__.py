@@ -16,12 +16,9 @@ Layers, bottom to top:
 
 from .symfunc import (
     ConeViolationError,
-    CurvatureSpectrum,
     cone_checks,
     esym_all,
-    esym_eval,
     esym_grad,
-    esym_hess,
     quotient_eval,
     quotient_from_esym,
 )

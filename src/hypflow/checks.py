@@ -25,7 +25,6 @@ from .hypersurface import (
     ball_profile,
     generate_shape,
     geometry_fields,
-    hconvexity_margin,
     integrate,
     quermassintegrals,
     random_hconvex_shape,
@@ -242,14 +241,11 @@ def check_canned_flow() -> CheckResult:
 
 
 @_timed
-def check_proof_trace(canned_payload=None) -> CheckResult:
-    """Accumulated dissipation integral vs ((n+1)/(n-m)) * initial deficit."""
-    if canned_payload is None:
-        graph = generate_shape(AxisymGrid(64, n=2), "perturbed_sphere", r0=1.0, eps=0.05, l=2)
-        rep = proof_trace_check(graph, 1, t_max=50.0)
-    else:
-        graph, final, trace = canned_payload
-        rep = proof_trace_check(graph, 1, precomputed=(final, trace))
+def check_proof_trace(canned_payload) -> CheckResult:
+    """Accumulated dissipation integral vs ((n+1)/(n-m)) * initial deficit,
+    on the (graph, final state, trace) of check_canned_flow."""
+    graph, final, trace = canned_payload
+    rep = proof_trace_check(graph, 1, precomputed=(final, trace))
     ok = rep.converged and rep.relative_residual <= 1e-2
     return CheckResult("proof_trace", ok,
                        f"cum={rep.cum_integral:.6e} target={rep.target:.6e} "
@@ -311,7 +307,7 @@ def run_verify(seed: int = 0) -> list[CheckResult]:
     ]
     canned = check_canned_flow()
     results.append(canned)
-    results.append(check_proof_trace(getattr(canned, "payload", None)))
+    results.append(check_proof_trace(canned.payload))
     results.append(check_conformal())
     results.append(check_variational())
     return results

@@ -3,15 +3,17 @@ deterministic CSV/SVG artifacts.
 
 Commands:
   quermass   print quermassintegrals, deficit, convexity margin, inradius
-  flow       run the constrained flow, write the trace CSV (+ optional SVG)
+  flow       run the constrained flow, write the trace CSV (+ optional SVG);
+             print the conserved drift, the descent, the terminal sphere fit
+             and the dissipation residual against the initial deficit
   sweep      static stability sweep over perturbation sizes, CSV (+ SVG)
   conformal  conformal-image identity report
   verify     the consolidated property suite; nonzero exit on any failure
 
 Configs are strict: unknown keys are rejected and every violation is
 reported with its key path. Outputs are byte-deterministic for a fixed
-config and seed (17 significant digits, LF line endings, UTF-8); the
-HYPFLOW_THREADS environment variable overrides the sweep worker count.
+config and seed (17 significant digits, LF line endings, UTF-8); the sweep
+config's `threads` key sets the worker count and never changes the bytes.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 verification
 failure, 5 I/O error.
@@ -23,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -42,7 +44,14 @@ from .hypersurface import (
     inradius,
     quermassintegrals,
 )
-from .stability import InsufficientDataError, deficit, exponent_fit, stability_sweep
+from .stability import (
+    InsufficientDataError,
+    deficit,
+    exponent_fit,
+    proof_trace_check,
+    sphere_fit,
+    stability_sweep,
+)
 from .svgplot import flow_svg, sweep_svg
 from .symfunc import ConeViolationError
 
@@ -71,20 +80,23 @@ class ShapeSpec:
     a: float = 0.0
     eps: float = 0.0
     l: int = 2
+    order: int = 0
 
     def build(self, grid) -> RadialGraph:
         if self.kind == "sphere":
             return generate_shape(grid, "sphere", r0=self.r0)
         if self.kind == "offset_sphere":
             return generate_shape(grid, "offset_sphere", r0=self.r0, a=self.a)
-        return generate_shape(grid, "perturbed_sphere", r0=self.r0, eps=self.eps, l=self.l)
+        return generate_shape(grid, "perturbed_sphere", r0=self.r0, eps=self.eps, l=self.l,
+                              order=self.order)
 
     def label(self) -> str:
         if self.kind == "sphere":
             return f"sphere(r0={self.r0:g})"
         if self.kind == "offset_sphere":
             return f"offset_sphere(r0={self.r0:g}, a={self.a:g})"
-        return f"perturbed_sphere(r0={self.r0:g}, eps={self.eps:g}, l={self.l})"
+        return (f"perturbed_sphere(r0={self.r0:g}, eps={self.eps:g}, l={self.l}, "
+                f"order={self.order})")
 
 
 @dataclass
@@ -173,7 +185,7 @@ def _check_unknown(obj, allowed, errs, path=""):
 _SHAPE_KEYS = {
     "sphere": {"kind", "r0"},
     "offset_sphere": {"kind", "r0", "a"},
-    "perturbed_sphere": {"kind", "r0", "eps", "l"},
+    "perturbed_sphere": {"kind", "r0", "eps", "l", "order"},
 }
 
 
@@ -201,6 +213,11 @@ def _parse_shape(obj, errs, path="shape.", require_eps=True) -> Optional[ShapeSp
         l = _get_int(obj, "l", errs, path, lo=2, default=2)
         if l is not None:
             spec.l = l
+        order = _get_int(obj, "order", errs, path, lo=0, default=0)
+        if order > spec.l:
+            errs.append(f"{path}order: must be <= l ({spec.l}), got {order}")
+        else:
+            spec.order = order
     return spec
 
 
@@ -262,6 +279,9 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
         spec = _parse_shape(raw["shape"], errs, require_eps=command != "sweep")
         if spec is not None:
             cfg.shape = spec
+            if spec.order and backend == "axisym":
+                errs.append(f"shape.order: backend 'axisym' is zonal and requires "
+                            f"order 0, got {spec.order}")
             if command == "sweep":
                 if spec.kind != "perturbed_sphere":
                     errs.append("shape.kind: sweep requires 'perturbed_sphere'")
@@ -369,6 +389,11 @@ def cmd_flow(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
     print(f"W{cfg.m} drift = {_g17(abs(final.W[cfg.m] - state.W_init[cfg.m]))}")
     print(f"W{cfg.m + 1} drop = {_g17(state.W_init[cfg.m + 1] - final.W[cfg.m + 1])}")
     print(f"monitor_flags = {trace.flag_count}  rejections = {trace.rejections}")
+    fit = sphere_fit(final.graph)
+    print(f"terminal_fit radius = {_g17(fit.radius)}  gap = {_g17(fit.cheb)}  "
+          f"center_offset = {_g17(fit.center_norm())}")
+    proof = proof_trace_check(graph, cfg.m, precomputed=(final, trace))
+    print(f"dissipation_residual = {_g17(proof.relative_residual)}")
     print(f"wrote {csv_path}")
     if plot:
         svg_path = os.path.join(out_dir, "flow.svg")
@@ -378,17 +403,17 @@ def cmd_flow(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
-    spec = cfg.shape
+    spec, grid = cfg.shape, cfg.build_grid()
 
     def family(eps: float) -> RadialGraph:
-        return generate_shape(cfg.build_grid(), "perturbed_sphere",
-                              r0=spec.r0, eps=eps, l=spec.l)
+        return replace(spec, eps=eps).build(grid)
 
     result = stability_sweep(family, cfg.m, cfg.sweep_eps, n=cfg.n, workers=cfg.threads)
     csv_path = os.path.join(out_dir, "sweep.csv")
     _emit_csv(csv_path, result.csv_lines())
-    print(f"sweep: n={cfg.n} m={cfg.m} l={spec.l} J={cfg.J} backend={cfg.backend} "
-          f"members={len(result.records)} rejected={len(result.rejections)}")
+    print(f"sweep: n={cfg.n} m={cfg.m} l={spec.l} order={spec.order} J={cfg.J} "
+          f"backend={cfg.backend} members={len(result.records)} "
+          f"rejected={len(result.rejections)}")
     for eps, reason in result.rejections:
         print(f"  rejected eps={eps:g}: {reason}")
     print(f"C* (max ratio) = {_g17(result.max_ratio())}")
@@ -500,8 +525,8 @@ def main(argv=None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
-        # e.g. a malformed HYPFLOW_THREADS env var; schema validation catches
-        # everything coming from the config file itself before this point
+        # a value the schema admits but a generator rejects, e.g. a radius
+        # whose ball profile leaves the representable range
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -17,7 +17,7 @@ live below the cutoff, so the filter is exact on resolved data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -92,7 +92,8 @@ class FlowState:
 
     F, the speed and the traceless measures of the state are evaluated at
     most once, on first use, and shared by the stepper, the stop tests and
-    the trace row.
+    the trace row. Later states are made with dataclasses.replace, which
+    carries m and the initial-data records over and starts those caches empty.
     """
 
     graph: RadialGraph
@@ -121,14 +122,6 @@ class FlowState:
             W_init=W.copy(), maxF_init=float(quotient_from_esym(m, fields.E).max()),
             minr_init=float(graph.r.min()), maxr_init=float(graph.r.max()),
             rho_minus_init=rho, minu_init=float(fields.u.min()),
-        )
-
-    def advanced(self, graph: RadialGraph, t: float, fields: GeometryFields, W: np.ndarray) -> "FlowState":
-        return FlowState(
-            graph=graph, m=self.m, t=t, fields=fields, W=W,
-            W_init=self.W_init, maxF_init=self.maxF_init,
-            minr_init=self.minr_init, maxr_init=self.maxr_init,
-            rho_minus_init=self.rho_minus_init, minu_init=self.minu_init,
         )
 
     @cached_property
@@ -263,8 +256,9 @@ def step(state: FlowState, dt: float, c_pole: Optional[float] = None):
         w_next = float(W_new[m + 1])
         w_prev = float(state.W[m + 1])
         mono_ok = w_next <= w_prev + MONO_TOL * abs(w_prev)
-        if min_kappa >= 1.0 - HCONVEX_TOL and mono_ok and np.all(np.isfinite(W_new)):
-            new_state = state.advanced(graph_new, state.t + dt, fields_new, W_new)
+        if min_kappa >= 1.0 - HCONVEX_TOL and mono_ok:
+            new_state = replace(state, graph=graph_new, t=state.t + dt,
+                                fields=fields_new, W=W_new)
             return new_state, dt, halvings
         last_err = {"min_kappa": min_kappa, "W_next": w_next, "W_prev": w_prev}
         dt *= 0.5
@@ -340,8 +334,8 @@ def _probe_states(state: FlowState, h: float, count: int, c_pole: Optional[float
     for _ in range(count):
         graph_new = cur.graph.with_values(_rk4(cur, cur.speed[1], h, filt))
         fields_new = geometry_fields(graph_new)
-        cur = cur.advanced(graph_new, cur.t + h, fields_new,
-                           quermassintegrals(graph_new, fields_new))
+        cur = replace(cur, graph=graph_new, t=cur.t + h, fields=fields_new,
+                      W=quermassintegrals(graph_new, fields_new))
         out.append(cur)
     return out
 

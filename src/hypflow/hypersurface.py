@@ -17,7 +17,7 @@ curvature-integral recursion, geodesic-ball profiles, and the inball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi
 from typing import Callable, Optional
 
@@ -45,7 +45,6 @@ __all__ = [
     "generate_shape",
     "random_hconvex_shape",
     "geodesic_distances",
-    "radial_range_about",
     "inradius",
     "hconvexity_margin",
     "traceless_measures",
@@ -129,9 +128,6 @@ class GeometryFields:
     g_tt: Optional[np.ndarray] = None
     g_tp: Optional[np.ndarray] = None
     g_pp: Optional[np.ndarray] = None
-    h_tt: Optional[np.ndarray] = None
-    h_tp: Optional[np.ndarray] = None
-    h_pp: Optional[np.ndarray] = None
     S_tt: Optional[np.ndarray] = None
     S_tp: Optional[np.ndarray] = None
     S_pt: Optional[np.ndarray] = None
@@ -140,9 +136,6 @@ class GeometryFields:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def min_kappa(self) -> float:
-        return float(self.kappa.min())
 
 
 def geometry_fields(graph: RadialGraph, warp: Warp = HYPERBOLIC) -> GeometryFields:
@@ -170,12 +163,15 @@ def _geometry_full(graph, grid: FullSphereGrid, r, lam, lamp, warp) -> GeometryF
     cov_tp = rtp - cot_t * rp
     cov_pp = rpp + sin_t * cos_t * rt
 
-    inv_lam2 = 1.0 / (lam * lam)
-    grad2 = rt * rt + (rp / sin_t) ** 2
+    rt2 = rt * rt
+    lam2 = lam * lam
+    lam_lamp = lam * lamp
+    inv_lam2 = 1.0 / lam2
+    grad2 = rt2 + (rp / sin_t) ** 2
     v = np.sqrt(1.0 + grad2 * inv_lam2)
     u = lam / v
 
-    g_tt = rt * rt + lam * lam
+    g_tt = rt2 + lam2
     g_tp = rt * rp
     g_pp = rp * rp + (lam * sin_t) ** 2
     detg = g_tt * g_pp - g_tp * g_tp
@@ -184,9 +180,10 @@ def _geometry_full(graph, grid: FullSphereGrid, r, lam, lamp, warp) -> GeometryF
         raise DiscretizationError(f"induced metric degenerate at node index {bad[0].tolist()}")
 
     two_lp = 2.0 * lamp / lam
-    h_tt = (-cov_tt + lam * lamp + two_lp * rt * rt) / v
+    # two_lp * rt * rt stays as written: reusing rt2 would reassociate it
+    h_tt = (-cov_tt + lam_lamp + two_lp * rt * rt) / v
     h_tp = (-cov_tp + two_lp * rt * rp) / v
-    h_pp = (-cov_pp + lam * lamp * sin_t ** 2 + two_lp * rp * rp) / v
+    h_pp = (-cov_pp + lam_lamp * sin_t ** 2 + two_lp * rp * rp) / v
 
     i_tt = g_pp / detg
     i_pp = g_tt / detg
@@ -211,7 +208,7 @@ def _geometry_full(graph, grid: FullSphereGrid, r, lam, lamp, warp) -> GeometryF
         graph=graph, warp=warp, r=r, lam=lam, lamp=lamp, v=v, u=u,
         kappa=kappa, E=E, area_density=area_density, Atr2=Atr2, H=H,
         rt=rt, rtt=rtt, rp=rp, rtp=rtp, rpp=rpp,
-        g_tt=g_tt, g_tp=g_tp, g_pp=g_pp, h_tt=h_tt, h_tp=h_tp, h_pp=h_pp,
+        g_tt=g_tt, g_tp=g_tp, g_pp=g_pp,
         S_tt=S_tt, S_tp=S_tp, S_pt=S_pt, S_pp=S_pp,
     )
 
@@ -271,6 +268,9 @@ def quermassintegrals(graph: RadialGraph, fields: GeometryFields | None = None) 
 
         W_0 = |Omega|,  W_1 = |M|/(n+1),
         W_{k+1} = (1/(n+1)) int E_k dmu - k/(n+2-k) W_{k-1}.
+
+    Raises DiscretizationError if any W_k is not finite (e.g. sinh^n
+    overflowing on a large sphere), rather than returning it.
     """
     if fields is None:
         fields = geometry_fields(graph)
@@ -283,6 +283,9 @@ def quermassintegrals(graph: RadialGraph, fields: GeometryFields | None = None) 
     W[1] = int_E[0] / (n + 1)
     for k in range(1, n):
         W[k + 1] = int_E[k] / (n + 1) - k / (n + 2 - k) * W[k - 1]
+    if not np.all(np.isfinite(W)):
+        k = int(np.argmin(np.isfinite(W)))
+        raise DiscretizationError(f"non-finite quermassintegral W_{k} = {W[k]}")
     return W
 
 
@@ -496,11 +499,6 @@ def geodesic_distances(grid, r: np.ndarray, center) -> np.ndarray:
         cosg = np.tensordot(grid.xyz, w / rho, axes=([-1], [0]))
         arg = np.cosh(rho) * np.cosh(r) - np.sinh(rho) * np.sinh(r) * cosg
     return np.arccosh(np.maximum(arg, 1.0))
-
-
-def radial_range_about(graph: RadialGraph, center) -> tuple[float, float]:
-    d = geodesic_distances(graph.grid, graph.r, center)
-    return float(d.min()), float(d.max())
 
 
 @dataclass

@@ -185,17 +185,9 @@ class SweepResult:
 
 
 def sweep_worker_count(n_jobs: int, configured: Optional[int] = None) -> int:
-    """Pool size for sweep fan-out: HYPFLOW_THREADS beats the configured
-    value, which beats the CPU count; never more workers than jobs."""
-    env = os.environ.get("HYPFLOW_THREADS", "").strip()
-    if env:
-        workers = int(env)
-        if workers < 1:
-            raise ValueError("HYPFLOW_THREADS must be a positive integer")
-    elif configured is not None:
-        workers = configured
-    else:
-        workers = os.cpu_count() or 1
+    """Pool size for sweep fan-out: the configured value, else the CPU
+    count; never more workers than jobs."""
+    workers = configured if configured is not None else os.cpu_count() or 1
     return max(1, min(workers, n_jobs))
 
 
@@ -228,7 +220,8 @@ def stability_sweep(family: Callable[[float], RadialGraph], m: int,
                     eps_list: Sequence[float], *, n: Optional[int] = None,
                     workers: Optional[int] = None) -> SweepResult:
     """Static sweep over perturbation amplitudes; members run concurrently
-    (HYPFLOW_THREADS caps the pool) and results come back sorted by eps."""
+    on `workers` threads (see sweep_worker_count) and results come back
+    sorted by eps."""
     eps_sorted = sorted(float(e) for e in eps_list)
     if not eps_sorted:
         raise ValueError("eps_list must be nonempty")
@@ -284,7 +277,6 @@ class ProofTraceReport:
     window_constant: float
     stop_reason: str
     converged: bool
-    skipped: bool
 
 
 def proof_trace_check(graph: RadialGraph, m: int, *,
@@ -323,5 +315,5 @@ def proof_trace_check(graph: RadialGraph, m: int, *,
         cum_integral=cum, target=target, relative_residual=residual,
         initial_deficit=defres, delta=delta, window_mass=window_mass,
         window_constant=window_constant, stop_reason=trace.stop_reason,
-        converged=converged, skipped=not converged,
+        converged=converged,
     )

@@ -18,12 +18,9 @@ import numpy as np
 
 __all__ = [
     "ConeViolationError",
-    "CurvatureSpectrum",
     "ConeCheckReport",
     "esym_all",
-    "esym_eval",
     "esym_grad",
-    "esym_hess",
     "quotient_eval",
     "quotient_from_esym",
     "cone_checks",
@@ -37,34 +34,8 @@ class ConeViolationError(ValueError):
     """Raised when a spectrum leaves the cone a quotient needs."""
 
 
-@dataclass(frozen=True)
-class CurvatureSpectrum:
-    """A single point's principal curvatures, ordered ascending."""
-
-    kappa: np.ndarray
-
-    def __post_init__(self):
-        arr = np.sort(np.asarray(self.kappa, dtype=float))
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("spectrum needs at least two curvatures")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("spectrum contains non-finite entries")
-        object.__setattr__(self, "kappa", arr)
-
-    @property
-    def n(self) -> int:
-        return self.kappa.size
-
-    def in_positive_cone(self) -> bool:
-        """All sigma_1..sigma_n positive (Garding cone of sigma_n)."""
-        return bool(np.all(esym_all(self.kappa) > 0.0))
-
-    def is_hconvex(self, tol: float = 0.0) -> bool:
-        return bool(self.kappa[0] >= 1.0 - tol)
-
-
 def _kappa_array(kappa) -> np.ndarray:
-    arr = np.asarray(kappa, dtype=float) if not isinstance(kappa, CurvatureSpectrum) else kappa.kappa
+    arr = np.asarray(kappa, dtype=float)
     if arr.shape[-1] < 1:
         raise ValueError("empty spectrum")
     return arr
@@ -90,19 +61,6 @@ def esym_all(kappa) -> np.ndarray:
     return out
 
 
-def _check_k(k: int, n: int, *, lo: int = 0):
-    if not lo <= k <= n:
-        raise ValueError(f"order k={k} out of range [{lo}, {n}]")
-
-
-def esym_eval(k: int, kappa) -> np.ndarray | float:
-    """Normalized elementary symmetric value E_k."""
-    arr = _kappa_array(kappa)
-    _check_k(k, arr.shape[-1])
-    val = esym_all(arr)[..., k]
-    return float(val) if val.ndim == 0 else val
-
-
 def esym_grad(k: int, kappa) -> np.ndarray:
     """Gradient dE_k/dkappa_i, shape (..., n).
 
@@ -112,7 +70,8 @@ def esym_grad(k: int, kappa) -> np.ndarray:
     """
     arr = _kappa_array(kappa)
     n = arr.shape[-1]
-    _check_k(k, n, lo=1)
+    if not 1 <= k <= n:
+        raise ValueError(f"order k={k} out of range [1, {n}]")
     grad = np.empty_like(arr)
     for i in range(n):
         reduced = np.delete(arr, i, axis=-1)
@@ -122,26 +81,6 @@ def esym_grad(k: int, kappa) -> np.ndarray:
             sigma = esym_all(reduced)[..., k - 1] * comb(n - 1, k - 1)
             grad[..., i] = sigma
     return grad / comb(n, k)
-
-
-def esym_hess(k: int, kappa) -> np.ndarray:
-    """Hessian d2E_k/dkappa_i dkappa_j, shape (..., n, n); zero diagonal."""
-    arr = _kappa_array(kappa)
-    n = arr.shape[-1]
-    _check_k(k, n, lo=1)
-    hess = np.zeros(arr.shape[:-1] + (n, n), dtype=float)
-    if k < 2:
-        return hess
-    for i in range(n):
-        for j in range(i + 1, n):
-            reduced = np.delete(arr, (i, j), axis=-1)
-            if k - 2 == 0:
-                val = np.ones(arr.shape[:-1])
-            else:
-                val = esym_all(reduced)[..., k - 2] * comb(n - 2, k - 2)
-            hess[..., i, j] = val
-            hess[..., j, i] = val
-    return hess / comb(n, k)
 
 
 def quotient_eval(m: int, kappa) -> tuple[np.ndarray | float, np.ndarray]:

@@ -2,6 +2,7 @@
 byte-determinism of outputs.
 """
 
+import hashlib
 import json
 import os
 
@@ -126,6 +127,23 @@ class TestParseConfig:
                           "shape": {"kind": "offset_sphere", "r0": 1.0, "a": 1.5}},
                          "quermass")
 
+    def test_shape_order(self):
+        base = {"n": 2, "m": 1, "backend": "full", "J": 32,
+                "shape": {"kind": "perturbed_sphere", "r0": 1.0, "eps": 0.05, "l": 3,
+                          "order": 2}}
+        assert parse_config(base, "flow").shape.order == 2
+        assert parse_config(dict(base, shape=dict(base["shape"], order=0)),
+                            "flow").shape.order == 0
+        with pytest.raises(ConfigError, match=r"shape\.order: must be <= l \(3\), got 4"):
+            parse_config(dict(base, shape=dict(base["shape"], order=4)), "flow")
+        with pytest.raises(ConfigError, match=r"shape\.order: must be >= 0"):
+            parse_config(dict(base, shape=dict(base["shape"], order=-1)), "flow")
+        with pytest.raises(ConfigError, match=r"shape\.order: backend 'axisym'"):
+            parse_config(dict(base, backend="axisym"), "flow")
+        with pytest.raises(ConfigError, match=r"shape\.order: unknown key"):
+            parse_config(dict(base, shape={"kind": "sphere", "r0": 1.0, "order": 1}),
+                         "flow")
+
     def test_conformal_has_no_order_key(self):
         with pytest.raises(ConfigError, match="m: unknown key"):
             parse_config({"n": 2, "backend": "axisym", "J": 32, "m": 1,
@@ -159,6 +177,17 @@ class TestMainQuermass:
         assert "W2 = 5.8924344400224" in out
         assert "hconvexity_margin" in out and "inradius_rho" in out
 
+    def test_nonfinite_quermassintegral_exits_numerical(self, tmp_path, capsys):
+        # sinh(30)^40 overflows: W_0 would come out nan
+        cfg = write_config(tmp_path, {"n": 40, "m": 1, "backend": "axisym", "J": 16,
+                                      "shape": {"kind": "sphere", "r0": 30}})
+        with np.errstate(all="ignore"):
+            code = main(["quermass", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "non-finite quermassintegral W_0" in captured.err
+        assert "W0 = " not in captured.out
+
 
 class TestMainFlow:
     def test_writes_trace_and_svg(self, tmp_path, capsys):
@@ -178,6 +207,17 @@ class TestMainFlow:
         assert len(lines) == steps + 2  # header + initial row + steps
         svg = (out / "flow.svg").read_text()
         assert svg.startswith("<svg") and "</svg>" in svg
+        assert "terminal_fit radius = " in stdout and "center_offset = " in stdout
+        assert "dissipation_residual = " in stdout
+
+    def test_golden_trace_hash(self, tmp_path):
+        # pins the trace bytes across changes, not just run to run
+        cfg = write_config(tmp_path, FLOW_CFG)
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        data = (tmp_path / "flow_trace.csv").read_bytes()
+        assert data.count(b"\n") == 23
+        assert hashlib.sha256(data).hexdigest() == (
+            "a021bda7d649e66dcda712d260bb72ade5c89e98acca008aa3f6d864bb488812")
 
     def test_byte_determinism(self, tmp_path):
         cfg = write_config(tmp_path, FLOW_CFG)
@@ -234,6 +274,16 @@ class TestMainSweep:
             assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
             blobs.append((out / "sweep.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_nonzonal_order_golden_hash(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "n": 2, "m": 1, "backend": "full", "J": 32,
+            "shape": {"kind": "perturbed_sphere", "r0": 1.0, "l": 3, "order": 1},
+            "sweep": {"eps_list": [0.0125, 0.025, 0.05, 0.1, 0.2]}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        data = (tmp_path / "sweep.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "92b91a9fcd46c10c701fb4c073348194a09379f5a90776fceff6049959f437bb")
 
     def test_insufficient_points_still_succeeds(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(SWEEP_CFG, sweep={"eps_list": [0.05, 0.1]}))
@@ -296,9 +346,3 @@ class TestMainPlumbing:
         monkeypatch.setattr(cli, "run_verify",
                             lambda seed=0: [CheckResult("alpha", True, "ok", 0.0)])
         assert main(["verify"]) == EXIT_OK
-
-    def test_bad_threads_env_is_config_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("HYPFLOW_THREADS", "0")
-        cfg = write_config(tmp_path, SWEEP_CFG)
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err

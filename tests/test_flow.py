@@ -104,7 +104,7 @@ class TestStep:
             new, dt_used, halvings = step(st, 50.0)
         assert halvings > 0
         assert dt_used == pytest.approx(50.0 / 2 ** halvings)
-        assert new.fields.min_kappa() >= 1.0 - HCONVEX_TOL
+        assert new.fields.kappa.min() >= 1.0 - HCONVEX_TOL
 
     def test_exhausted_halvings_raise_with_diagnostics(self, monkeypatch):
         monkeypatch.setattr(flow, "MAX_HALVINGS", 0)

@@ -28,7 +28,6 @@ from hypflow.hypersurface import (
     inradius,
     integrate,
     quermassintegrals,
-    radial_range_about,
     random_hconvex_shape,
     sinh_power_integral,
     traceless_measures,
@@ -59,7 +58,7 @@ class TestSphereGeometry:
             assert np.abs(f.H - n / np.tanh(r0)).max() < 1e-12
             for k in range(n + 1):
                 assert np.abs(f.E[..., k] - np.cosh(r0) ** k / np.sinh(r0) ** k).max() < 1e-12
-            assert f.min_kappa() > 1.0
+            assert hconvexity_margin(f) > 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_sphere_area(self, n):
@@ -228,7 +227,7 @@ class TestGenerateShape:
         g = generate_shape(FullSphereGrid(48), "perturbed_sphere", 1.0,
                            eps=0.05, l=2, order=2)
         assert np.ptp(g.r, axis=1).max() > 0.01  # actually varies in phi
-        assert geometry_fields(g).min_kappa() > 1.0
+        assert hconvexity_margin(geometry_fields(g)) > 0.0
 
     def test_rejects_nonconvex_amplitude(self):
         with pytest.raises(ShapeRejectionError) as exc:
@@ -279,9 +278,6 @@ class TestDistancesAndInradius:
         g = generate_shape(AxisymGrid(64, 2), "offset_sphere", r0, a=a)
         d = geodesic_distances(g.grid, g.r, a)
         assert np.abs(d - r0).max() < 1e-12
-        lo, hi = radial_range_about(g, a)
-        assert lo == pytest.approx(r0, abs=1e-12)
-        assert hi == pytest.approx(r0, abs=1e-12)
 
     def test_full_backend_center_vector(self):
         r0, a = 1.0, 0.35
@@ -303,12 +299,6 @@ class TestDistancesAndInradius:
         res = inradius(generate_shape(FullSphereGrid(48), "offset_sphere", 1.0, a=0.3))
         assert res.rho == pytest.approx(1.0, abs=1e-6)
         assert res.center_norm() == pytest.approx(0.3, abs=1e-4)
-
-    def test_radial_range_about_origin(self):
-        g = generate_shape(AxisymGrid(32, 2), "perturbed_sphere", 1.0, eps=0.1, l=2)
-        lo, hi = radial_range_about(g, 0.0)
-        assert lo == pytest.approx(float(g.r.min()), abs=1e-14)
-        assert hi == pytest.approx(float(g.r.max()), abs=1e-14)
 
 
 class TestValidation:

@@ -13,9 +13,7 @@ from hypflow.symfunc import (
     ConeViolationError,
     cone_checks,
     esym_all,
-    esym_eval,
     esym_grad,
-    esym_hess,
     quotient_eval,
 )
 
@@ -46,7 +44,7 @@ class TestEsymOracle:
     def test_known_values(self):
         E = esym_all([1.0, 2.0, 3.0])
         assert np.allclose(E, [1.0, 2.0, 11.0 / 3.0, 6.0])
-        assert esym_eval(2, [1.0, 1.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
+        assert esym_all([1.0, 1.0, 1.0])[2] == pytest.approx(1.0, abs=1e-15)
 
     def test_batched_matches_rows(self):
         rng = np.random.default_rng(3)
@@ -81,30 +79,8 @@ class TestGradHess:
             for i in range(n):
                 e = np.zeros(n)
                 e[i] = h
-                fd = (esym_eval(k, kappa + e) - esym_eval(k, kappa - e)) / (2 * h)
+                fd = (esym_all(kappa + e)[k] - esym_all(kappa - e)[k]) / (2 * h)
                 assert g[i] == pytest.approx(fd, rel=1e-7, abs=1e-9)
-
-    def test_hess_finite_difference(self):
-        rng = np.random.default_rng(13)
-        kappa = rng.uniform(0.8, 2.0, 4)
-        k = 3
-        H = esym_hess(k, kappa)
-        h = 1e-5
-        for i in range(4):
-            for j in range(4):
-                ei, ej = np.zeros(4), np.zeros(4)
-                ei[i] = h
-                ej[j] = h
-                fd = (esym_eval(k, kappa + ei + ej) - esym_eval(k, kappa + ei - ej)
-                      - esym_eval(k, kappa - ei + ej) + esym_eval(k, kappa - ei - ej)) / (4 * h * h)
-                if i == j:
-                    # E_k is multilinear: exact zero on the diagonal, and the
-                    # FD probe only sees rounding noise there
-                    assert H[i, j] == 0.0
-                    assert abs(fd) < 5e-5
-                else:
-                    assert H[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-        assert np.allclose(H, H.T)
 
     def test_grad_is_lower_esym_of_complement(self):
         # dE_k/dkappa_i = (k/n) * E_{k-1}(kappa without i)
