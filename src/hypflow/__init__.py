@@ -34,6 +34,7 @@ from .hypersurface import (
     Warp,
     ball_profile,
     ball_profile_inverse,
+    distance_range,
     generate_shape,
     geodesic_distances,
     geometry_fields,

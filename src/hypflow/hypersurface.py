@@ -45,6 +45,7 @@ __all__ = [
     "generate_shape",
     "random_hconvex_shape",
     "geodesic_distances",
+    "distance_range",
     "inradius",
     "hconvexity_margin",
     "traceless_measures",
@@ -147,9 +148,12 @@ def geometry_fields(graph: RadialGraph, warp: Warp = HYPERBOLIC) -> GeometryFiel
         fields = _geometry_full(graph, grid, r, lam, lamp, warp)
     else:
         fields = _geometry_axisym(graph, grid, r, lam, lamp, warp)
-    if not np.all(np.isfinite(fields.kappa)):
+    if not np.isfinite(fields.kappa).all():
         bad = np.argwhere(~np.isfinite(fields.kappa))
         raise DiscretizationError(f"non-finite curvature at node index {bad[0].tolist()}")
+    if not np.isfinite(fields.area_density).all():
+        bad = np.argwhere(~np.isfinite(fields.area_density))
+        raise DiscretizationError(f"non-finite area density at node index {bad[0].tolist()}")
     return fields
 
 
@@ -230,7 +234,8 @@ def _geometry_axisym(graph, grid: AxisymGrid, r, lam, lamp, warp) -> GeometryFie
     H = n * E[..., 1]
     # |A|^2 - H^2/n via the curvature split, free of large-term cancellation
     Atr2 = (n - 1) / n * (k_rad - k_ang) ** 2
-    area_density = v * lam ** n
+    with np.errstate(over="ignore"):  # lam^n overflows first; geometry_fields raises
+        area_density = v * lam ** n
 
     return GeometryFields(
         graph=graph, warp=warp, r=r, lam=lam, lamp=lamp, v=v, u=u,
@@ -482,23 +487,52 @@ def random_hconvex_shape(grid, rng: np.random.Generator, r0_range=(0.7, 1.5),
 # distances, inball, convexity reporting
 
 
+def _distance_arg(grid, ch_r: np.ndarray, sh_r: np.ndarray, center):
+    """cosh d(c, x) at every node by the hyperbolic law of cosines, given
+    cosh r and sinh r; None for the full-grid origin, where d(c, x) = r."""
+    if grid.backend == "axisym":
+        aa = float(center)
+        return np.cosh(aa) * ch_r - np.sinh(aa) * sh_r * grid.cos_t
+    w = np.asarray(center, dtype=float)
+    rho = float(np.linalg.norm(w))
+    if rho < 1e-300:
+        return None
+    cosg = np.tensordot(grid.xyz, w / rho, axes=([-1], [0]))
+    return np.cosh(rho) * ch_r - np.sinh(rho) * sh_r * cosg
+
+
 def geodesic_distances(grid, r: np.ndarray, center) -> np.ndarray:
     """Hyperbolic distance from an interior point to every node of the graph.
 
     Axisym centers are signed positions on the symmetry axis; full-sphere
-    centers are vectors in the exponential chart at the origin.
+    centers are vectors in the exponential chart at the origin, and the
+    zero vector returns a copy of r. A search over centers that needs only
+    the nearest and farthest node should use distance_range instead.
     """
-    if grid.backend == "axisym":
-        aa = float(center)
-        arg = np.cosh(aa) * np.cosh(r) - np.sinh(aa) * np.sinh(r) * grid.cos_t
-    else:
-        w = np.asarray(center, dtype=float)
-        rho = float(np.linalg.norm(w))
-        if rho < 1e-300:
-            return np.asarray(r, dtype=float).copy()
-        cosg = np.tensordot(grid.xyz, w / rho, axes=([-1], [0]))
-        arg = np.cosh(rho) * np.cosh(r) - np.sinh(rho) * np.sinh(r) * cosg
+    arg = _distance_arg(grid, np.cosh(r), np.sinh(r), center)
+    if arg is None:
+        return np.asarray(r, dtype=float).copy()
     return np.arccosh(np.maximum(arg, 1.0))
+
+
+def distance_range(grid, r: np.ndarray) -> Callable[[object], tuple[float, float]]:
+    """Evaluator c -> (min_x d(c, x), max_x d(c, x)) over the nodes of one graph.
+
+    Equal bit for bit to the min and max of geodesic_distances(grid, r, c):
+    cosh r and sinh r are formed once, and arccosh, being monotone, is
+    applied to the extremes of its argument only.
+    """
+    ch_r, sh_r = np.cosh(r), np.sinh(r)
+    r_range = (float(r.min()), float(r.max()))
+
+    def extremes(center) -> tuple[float, float]:
+        arg = _distance_arg(grid, ch_r, sh_r, center)
+        if arg is None:
+            return r_range
+        lo, hi = np.arccosh(np.maximum([arg.min(), arg.max()], 1.0))
+        return float(lo), float(hi)
+
+    return extremes
 
 
 @dataclass
@@ -516,12 +550,14 @@ def inradius(graph: RadialGraph) -> InradiusResult:
 
     Max-min optimization with multistart (origin plus a center-of-mass
     proxy); the objective is concave-ish but nonsmooth, so a simplex
-    search is used and the best start wins.
+    search is used and the best start wins. Trial centers are scored
+    through distance_range, which reduces before it takes arccosh.
     """
     grid, r = graph.grid, graph.r
+    extremes = distance_range(grid, r)
     if grid.backend == "axisym":
         def neg_obj(a):
-            return -float(geodesic_distances(grid, r, float(a)).min())
+            return -extremes(float(a))[0]
         span = float(r.max())
         res = minimize_scalar(neg_obj, bounds=(-span, span), method="bounded",
                               options={"xatol": 1e-11})
@@ -531,7 +567,7 @@ def inradius(graph: RadialGraph) -> InradiusResult:
         return InradiusResult(v_best, a_best, bool(res.success))
 
     def neg_obj(w):
-        return -float(geodesic_distances(grid, r, w).min())
+        return -extremes(w)[0]
 
     com = np.tensordot(grid.sigma_weights * r, grid.xyz, axes=([0, 1], [0, 1]))
     com_norm = np.linalg.norm(com)

@@ -24,11 +24,12 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .flow import DEFAULT_CFL, DEFAULT_TOL_STOP, FlowState, FlowTrace, run
 from .hypersurface import (
+    InradiusResult,
     RadialGraph,
     ShapeRejectionError,
     ball_profile,
     ball_profile_inverse,
-    geodesic_distances,
+    distance_range,
     geometry_fields,
     inradius,
     quermassintegrals,
@@ -100,18 +101,18 @@ class SphereFit:
         return float(np.linalg.norm(np.atleast_1d(self.center)))
 
 
-def _gap_and_radius(grid, r, center) -> tuple[float, float]:
-    d = geodesic_distances(grid, r, center)
-    lo, hi = float(d.min()), float(d.max())
-    return 0.5 * (hi - lo), 0.5 * (hi + lo)
-
-
-def sphere_fit(graph: RadialGraph) -> SphereFit:
+def sphere_fit(graph: RadialGraph, inr: Optional[InradiusResult] = None) -> SphereFit:
+    """Search the center that minimizes the radial gap, from the origin and
+    from the inball center; `inr` is inradius(graph) when the caller
+    already holds it."""
     grid, r = graph.grid, graph.r
-    inr = inradius(graph)
+    if inr is None:
+        inr = inradius(graph)
+    extremes = distance_range(grid, r)
 
     def gap(center):
-        return _gap_and_radius(grid, r, center)[0]
+        lo, hi = extremes(center)
+        return 0.5 * (hi - lo)
 
     if graph.backend == "axisym":
         bound = float(r.max())
@@ -122,22 +123,21 @@ def sphere_fit(graph: RadialGraph) -> SphereFit:
             v = gap(start)
             if v < best_val:
                 best_c, best_val = start, v
-        cheb, radius = _gap_and_radius(grid, r, best_c)
-        return SphereFit(center=np.array([0.0, 0.0, best_c]), radius=radius,
-                         cheb=cheb, converged=ok)
-
-    starts = [np.zeros(3), np.asarray(inr.center, dtype=float)]
-    best = None
-    ok = False
-    for s0 in starts:
-        res = minimize(lambda c: gap(c), s0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-        if best is None or res.fun < best.fun:
-            best = res
-        ok = ok or bool(res.success)
-    cheb, radius = _gap_and_radius(grid, r, best.x)
-    return SphereFit(center=np.asarray(best.x, dtype=float), radius=radius,
-                     cheb=cheb, converged=ok)
+        center = np.array([0.0, 0.0, best_c])
+    else:
+        starts = [np.zeros(3), np.asarray(inr.center, dtype=float)]
+        best = None
+        ok = False
+        for s0 in starts:
+            res = minimize(gap, s0, method="Nelder-Mead",
+                           options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
+            if best is None or res.fun < best.fun:
+                best = res
+            ok = ok or bool(res.success)
+        best_c = center = np.asarray(best.x, dtype=float)
+    lo, hi = extremes(best_c)
+    return SphereFit(center=center, radius=0.5 * (hi + lo), cheb=0.5 * (hi - lo),
+                     converged=ok)
 
 
 @dataclass(frozen=True)
@@ -201,17 +201,18 @@ def _sweep_one(family: Callable[[float], RadialGraph], m: int, eps: float):
     defres = deficit(graph, m, fields)
     if defres.raw < -_CLAMP_REL * max(abs(defres.W_m1), 1.0):
         return ("rejected", eps, f"deficit {defres.raw:.3e} below clamp window")
+    inr = inradius(graph)
     if eps == 0.0:
         dist = ratio = ratio3 = 0.0
     else:
-        dist = sphere_fit(graph).cheb
+        dist = sphere_fit(graph, inr).cheb
         d = defres.value
         ratio = dist / d ** (1.0 / (m + 2)) if d > 0.0 else 0.0
         ratio3 = dist / d ** (1.0 / 3.0) if d > 0.0 else 0.0
     rec = SweepRecord(
         eps=eps, deficit=defres.value, raw_deficit=defres.raw, dist=dist,
         ratio=ratio, ratio3=ratio3, minF=float(F.min()), maxF=float(F.max()),
-        maxH=float(fields.H.max()), rho_minus=inradius(graph).rho,
+        maxH=float(fields.H.max()), rho_minus=inr.rho,
     )
     return ("ok", eps, rec)
 

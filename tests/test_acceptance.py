@@ -32,8 +32,6 @@ from hypflow.hypersurface import (
     generate_shape,
     geometry_fields,
     inradius,
-    integrate,
-    quermassintegrals,
 )
 from hypflow.stability import (
     deficit,

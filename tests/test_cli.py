@@ -4,9 +4,8 @@ byte-determinism of outputs.
 
 import hashlib
 import json
-import os
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 import hypflow.cli as cli
@@ -177,16 +176,17 @@ class TestMainQuermass:
         assert "W2 = 5.8924344400224" in out
         assert "hconvexity_margin" in out and "inradius_rho" in out
 
-    def test_nonfinite_quermassintegral_exits_numerical(self, tmp_path, capsys):
-        # sinh(30)^40 overflows: W_0 would come out nan
+    def test_nonfinite_quermassintegral_exits_numerical(self, tmp_path, capfd, recwarn):
+        # sinh(30)^40 overflows: caught where it first appears, before NumPy warns
         cfg = write_config(tmp_path, {"n": 40, "m": 1, "backend": "axisym", "J": 16,
                                       "shape": {"kind": "sphere", "r0": 30}})
-        with np.errstate(all="ignore"):
-            code = main(["quermass", "--config", cfg, "--out", str(tmp_path)])
+        code = main(["quermass", "--config", cfg, "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL
-        captured = capsys.readouterr()
-        assert "non-finite quermassintegral W_0" in captured.err
+        captured = capfd.readouterr()
+        assert captured.err.splitlines() == [
+            "numerical failure: non-finite area density at node index [0]"]
         assert "W0 = " not in captured.out
+        assert [str(w.message) for w in recwarn] == []
 
 
 class TestMainFlow:
@@ -284,6 +284,14 @@ class TestMainSweep:
         data = (tmp_path / "sweep.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
             "92b91a9fcd46c10c701fb4c073348194a09379f5a90776fceff6049959f437bb")
+
+    def test_axisym_sweep_golden_hash(self, tmp_path):
+        cfg = str(Path(__file__).resolve().parent.parent / "scripts" / "configs"
+                  / "sweep_n4_m2.json")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        data = (tmp_path / "sweep.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "0bf0caf1019945f2da64fed843414268a6554f149453ef7cb9b00ad9138fc96c")
 
     def test_insufficient_points_still_succeeds(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(SWEEP_CFG, sweep={"eps_list": [0.05, 0.1]}))

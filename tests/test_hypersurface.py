@@ -21,6 +21,7 @@ from hypflow.hypersurface import (
     ShapeRejectionError,
     ball_profile,
     ball_profile_inverse,
+    distance_range,
     generate_shape,
     geodesic_distances,
     geometry_fields,
@@ -284,6 +285,22 @@ class TestDistancesAndInradius:
         g = generate_shape(FullSphereGrid(48), "offset_sphere", r0, a=a)
         d = geodesic_distances(g.grid, g.r, np.array([0.0, 0.0, a]))
         assert np.abs(d - r0).max() < 1e-12
+
+    @pytest.mark.parametrize("grid", [FullSphereGrid(32), AxisymGrid(48, 2), AxisymGrid(48, 4)],
+                             ids=["full", "axisym_n2", "axisym_n4"])
+    def test_distance_range_is_min_and_max_of_distances(self, grid):
+        # bit for bit, including the full-grid origin branch that returns r itself
+        g = generate_shape(grid, "perturbed_sphere", 1.0, eps=0.05, l=3)
+        extremes = distance_range(grid, g.r)
+        rng = np.random.default_rng(3)
+        if grid.backend == "full":
+            centers = [np.zeros(3), np.array([0.0, 0.0, 0.3]), np.array([0.0, 0.0, -1e-9])]
+            centers += [rng.normal(size=3) * rng.uniform(0.0, 0.2) for _ in range(5)]
+        else:
+            centers = [0.0, 0.3, -0.3] + list(rng.uniform(-0.5, 0.5, size=5))
+        for c in centers:
+            d = geodesic_distances(grid, g.r, c)
+            assert extremes(c) == (float(d.min()), float(d.max()))
 
     def test_inradius_sphere(self):
         res = inradius(generate_shape(AxisymGrid(48, 2), "sphere", 1.2))

@@ -13,7 +13,7 @@ import pytest
 import hypflow.stability as stability
 from hypflow.flow import FlowState, run
 from hypflow.grids import AxisymGrid, FullSphereGrid
-from hypflow.hypersurface import ShapeRejectionError, generate_shape
+from hypflow.hypersurface import generate_shape, inradius
 from hypflow.stability import (
     InsufficientDataError,
     SweepRecord,
@@ -94,6 +94,15 @@ class TestSphereFit:
         assert fit.center_norm() < 1e-6
         assert fit.cheb == pytest.approx(eps * y_half_range, rel=0.02)
 
+    @pytest.mark.parametrize("grid", [AxisymGrid(48, 2), FullSphereGrid(24)],
+                             ids=["axisym", "full"])
+    def test_given_inradius_gives_same_fit(self, grid):
+        graph = generate_shape(grid, "perturbed_sphere", 1.0, eps=0.03, l=3)
+        own, given = sphere_fit(graph), sphere_fit(graph, inradius(graph))
+        assert np.array_equal(own.center, given.center)
+        assert (own.radius, own.cheb, own.converged) == (given.radius, given.cheb,
+                                                         given.converged)
+
 
 class TestSweep:
     def test_records_sorted_and_conventions(self):
@@ -114,6 +123,19 @@ class TestSweep:
         assert len(res.records) == 2
         assert len(res.rejections) == 1
         assert res.rejections[0][0] == 0.8
+
+    def test_one_inradius_per_member(self, monkeypatch):
+        # sphere_fit reuses the member's inradius for its starts and rhoMinus
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return inradius(graph)
+        monkeypatch.setattr(stability, "inradius", counted)
+        res = stability_sweep(perturbed_family(AxisymGrid(32, 2)), 1,
+                              [0.0, 0.05, 0.1, 0.8], workers=1)
+        assert len(res.records) == 3 and len(res.rejections) == 1
+        assert len(calls) == 3
 
     def test_clamp_window_rejection(self, monkeypatch):
         from hypflow.stability import DeficitResult
