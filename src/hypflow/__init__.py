@@ -16,7 +16,6 @@ Layers, bottom to top:
 
 from .symfunc import (
     ConeViolationError,
-    cone_checks,
     esym_all,
     esym_grad,
     quotient_eval,
@@ -51,7 +50,6 @@ from .conformal import (
     area_identity_check,
     conf_relation_residual,
     image_convexity_margin,
-    radius_from_ball,
     radius_to_ball,
     to_ball,
 )

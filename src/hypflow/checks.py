@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import area_identity_check, conf_relation_residual, image_convexity_margin, to_ball
-from .flow import FlowState, run, variational_check
+from .flow import FlowState, pointwise_F_check, run, variational_check
 from .grids import AxisymGrid, FullSphereGrid
 from .hypersurface import (
     ball_profile,
@@ -35,7 +35,7 @@ from .symfunc import esym_all, quotient_eval
 __all__ = ["CheckResult", "run_verify",
            "check_symfunc_fuzz", "check_subset_oracle", "check_minkowski",
            "check_isometry", "check_deficit_fuzz", "check_canned_flow",
-           "check_conformal", "check_variational"]
+           "check_conformal", "check_variational", "check_pointwise_F"]
 
 
 @dataclass
@@ -297,6 +297,24 @@ def check_variational(J: int = 64) -> CheckResult:
                        + f", minkowski {rep.minkowski_residual:.1e}")
 
 
+@_timed
+def check_pointwise_F() -> CheckResult:
+    """Nodewise residual of the evolution law of F along two probe steps,
+    on one full-grid and two axisymmetric perturbed spheres."""
+    cases = [  # (grid, m, perturbed_sphere keywords, residual bound)
+        (FullSphereGrid(32), 1, {"eps": 0.05, "l": 2, "order": 2}, 2e-4),
+        (AxisymGrid(48, n=2), 1, {"eps": 0.1, "l": 2}, 1e-5),
+        (AxisymGrid(48, n=4), 2, {"eps": 0.05, "l": 2}, 1e-4),
+    ]
+    ok, parts = True, []
+    for grid, m, kw, bound in cases:
+        graph = generate_shape(grid, "perturbed_sphere", 1.0, **kw)
+        res = pointwise_F_check(FlowState.create(graph, m)).max_residual
+        ok = ok and res < bound
+        parts.append(f"{grid.backend} n={grid.n} {res:.1e}/{bound:.0e}")
+    return CheckResult("pointwise_F", ok, "max residual/bound " + ", ".join(parts))
+
+
 def run_verify(seed: int = 0) -> list[CheckResult]:
     results = [
         check_symfunc_fuzz(seed),
@@ -310,4 +328,5 @@ def run_verify(seed: int = 0) -> list[CheckResult]:
     results.append(check_proof_trace(canned.payload))
     results.append(check_conformal())
     results.append(check_variational())
+    results.append(check_pointwise_F())
     return results

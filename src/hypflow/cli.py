@@ -32,7 +32,15 @@ import numpy as np
 
 from .conformal import area_identity_check, conf_relation_residual, image_convexity_margin, to_ball
 from .checks import run_verify
-from .flow import FlowState, StepFailureError, run
+from .flow import (
+    DEFAULT_CFL,
+    DEFAULT_T_MAX,
+    DEFAULT_TOL_STOP,
+    MAX_CFL,
+    FlowState,
+    StepFailureError,
+    run,
+)
 from .grids import AxisymGrid, FullSphereGrid
 from .hypersurface import (
     DiscretizationError,
@@ -101,9 +109,9 @@ class ShapeSpec:
 
 @dataclass
 class FlowParams:
-    c_cfl: float = 0.2
-    tol_stop: float = 1e-6
-    t_max: float = 30.0
+    c_cfl: float = DEFAULT_CFL
+    tol_stop: float = DEFAULT_TOL_STOP
+    t_max: float = DEFAULT_T_MAX
 
 
 @dataclass
@@ -295,7 +303,7 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
         else:
             _check_unknown(fl, {"c_cfl", "tol_stop", "t_max"}, errs, "flow.")
             params = FlowParams()
-            v = _get_num(fl, "c_cfl", errs, "flow.", lo_strict=0.0, hi=0.22,
+            v = _get_num(fl, "c_cfl", errs, "flow.", lo_strict=0.0, hi=MAX_CFL,
                          default=params.c_cfl)
             if v is not None:
                 params.c_cfl = v

@@ -25,7 +25,6 @@ __all__ = [
     "AreaIdentityReport",
     "to_ball",
     "radius_to_ball",
-    "radius_from_ball",
     "conf_relation_residual",
     "image_convexity_margin",
     "area_identity_check",
@@ -35,10 +34,6 @@ __all__ = [
 def radius_to_ball(r):
     """Hyperbolic distance from origin -> Euclidean radius in the ball of radius 2."""
     return 2.0 * np.tanh(np.asarray(r, dtype=float) / 2.0)
-
-
-def radius_from_ball(s):
-    return 2.0 * np.arctanh(np.asarray(s, dtype=float) / 2.0)
 
 
 @dataclass

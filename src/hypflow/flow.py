@@ -47,13 +47,19 @@ __all__ = [
     "FResidualReport",
     "pointwise_F_check",
     "DEFAULT_CFL",
+    "MAX_CFL",
     "DEFAULT_TOL_STOP",
+    "DEFAULT_T_MAX",
     "MONO_TOL",
     "HCONVEX_TOL",
 ]
 
 DEFAULT_CFL = 0.2
+# the polar mode filter keeps azimuthal k <= 2 on the worst ring, which
+# is only stable for RK4 when the CFL fraction stays below ~0.22
+MAX_CFL = 0.22
 DEFAULT_TOL_STOP = 1e-6
+DEFAULT_T_MAX = 30.0
 MONO_TOL = 1e-10      # allowed relative W_{m+1} increase per accepted step
 HCONVEX_TOL = 1e-8    # allowed dip of min kappa below 1
 MAX_HALVINGS = 20
@@ -213,9 +219,13 @@ def _monitor_flags(state: FlowState, scalars: dict, n: int) -> list:
     return [name for name, bad in checks if bad]
 
 
-def _stage_filter(grid, c_pole: Optional[float]):
-    if c_pole is None or grid.backend != "full":
+def _stage_filter(grid, c_cfl: Optional[float]):
+    """Filter for every stage state: on the full grid the polar Fourier
+    cutoff 2/sqrt(c_cfl) that keeps RK4 stable at that CFL fraction; the
+    identity on the axisym grid or when c_cfl is None."""
+    if c_cfl is None or grid.backend != "full":
         return lambda r: r
+    c_pole = 2.0 / np.sqrt(c_cfl)
     return lambda r: grid.pole_filter(r, c_pole)
 
 
@@ -229,8 +239,11 @@ def _rk4(state: FlowState, k1: np.ndarray, dt: float, filt) -> np.ndarray:
     return filt(r0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
-def step(state: FlowState, dt: float, c_pole: Optional[float] = None):
+def step(state: FlowState, dt: float, c_cfl: Optional[float] = None):
     """One accepted RK4 step; halves dt until the post-state is admissible.
+
+    c_cfl is the CFL fraction dt was chosen with; it sets the stage filter
+    (see _stage_filter), and None steps unfiltered.
 
     Returns (new_state, dt_used, halvings). Acceptance requires finite
     geometry, min kappa >= 1 - 1e-8, and relative W_{m+1} increase below
@@ -240,7 +253,7 @@ def step(state: FlowState, dt: float, c_pole: Optional[float] = None):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     m = state.m
-    filt = _stage_filter(state.graph.grid, c_pole)
+    filt = _stage_filter(state.graph.grid, c_cfl)
     k1 = state.speed[1]
     last_err: dict = {}
     for halvings in range(MAX_HALVINGS + 1):
@@ -282,11 +295,8 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
     """Advance until ||A_traceless||_inf < tol_stop (skipped if tol_stop <= 0),
     max |f| < 1e-10, or t reaches t_max; returns the final state and trace."""
     n = state.graph.n
-    if not 0.0 < c_cfl <= 0.22:
-        # the polar mode filter keeps azimuthal k <= 2 on the worst ring, which
-        # is only stable for RK4 when the CFL fraction stays below ~0.22
-        raise ValueError("c_cfl must lie in (0, 0.22]")
-    c_pole = 2.0 / np.sqrt(c_cfl) if state.graph.backend == "full" else None
+    if not 0.0 < c_cfl <= MAX_CFL:
+        raise ValueError(f"c_cfl must lie in (0, {MAX_CFL}]")
     trace = FlowTrace(n=n, m=state.m)
     cum = 0.0
     deficit_rate = _deficit_integrand_value(state.fields, state.m)
@@ -306,7 +316,7 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
             break
         dt = min(cfl_dt(state, c_cfl), t_max - state.t)
         try:
-            state, dt_used, halvings = step(state, dt, c_pole)
+            state, dt_used, halvings = step(state, dt, c_cfl)
         except StepFailureError as exc:
             exc.partial_trace = trace
             raise
@@ -326,9 +336,9 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
 # residual checks against the exact evolution identities
 
 
-def _probe_states(state: FlowState, h: float, count: int, c_pole: Optional[float]):
+def _probe_states(state: FlowState, h: float, count: int, c_cfl: float):
     """Forward RK4 probe trajectory (no acceptance logic), count steps of size h."""
-    filt = _stage_filter(state.graph.grid, c_pole)
+    filt = _stage_filter(state.graph.grid, c_cfl)
     out = [state]
     cur = state
     for _ in range(count):
@@ -357,8 +367,7 @@ def variational_check(state: FlowState, h_t: Optional[float] = None,
     """
     n, m = state.graph.n, state.m
     h = h_t if h_t is not None else cfl_dt(state, c_cfl) / 8.0
-    c_pole = 2.0 / np.sqrt(c_cfl) if state.graph.backend == "full" else None
-    s0, s1, s2 = _probe_states(state, h, 2, c_pole)
+    s0, s1, s2 = _probe_states(state, h, 2, c_cfl)
     f = s1.speed[0]
     residuals = np.zeros(n + 1)
     mink = 0.0
@@ -437,8 +446,7 @@ def pointwise_F_check(state: FlowState, h_t: Optional[float] = None,
     m = state.m
     grid = state.graph.grid
     h = h_t if h_t is not None else cfl_dt(state, c_cfl) / 4.0
-    c_pole = 2.0 / np.sqrt(c_cfl) if state.graph.backend == "full" else None
-    s0, s1, s2 = _probe_states(state, h, 2, c_pole)
+    s0, s1, s2 = _probe_states(state, h, 2, c_cfl)
 
     def F_of(st):
         F, dF = quotient_eval(m, st.fields.kappa)

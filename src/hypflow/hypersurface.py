@@ -46,6 +46,7 @@ __all__ = [
     "random_hconvex_shape",
     "geodesic_distances",
     "distance_range",
+    "search_center",
     "inradius",
     "hconvexity_margin",
     "traceless_measures",
@@ -142,12 +143,16 @@ class GeometryFields:
 def geometry_fields(graph: RadialGraph, warp: Warp = HYPERBOLIC) -> GeometryFields:
     """Evaluate first and second fundamental form data at every node."""
     grid, r = graph.grid, graph.r
-    lam = warp.lam(r)
-    lamp = warp.lam_prime(r)
-    if grid.backend == "full":
-        fields = _geometry_full(graph, grid, r, lam, lamp, warp)
-    else:
-        fields = _geometry_axisym(graph, grid, r, lam, lamp, warp)
+    # an overflow leaves inf or nan behind, which the checks here report
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = warp.lam(r)
+        lamp = warp.lam_prime(r)
+        if not (np.isfinite(lam).all() and np.isfinite(lamp).all()):
+            raise DiscretizationError(f"non-finite warp factor at radius {r.max():.17g}")
+        if grid.backend == "full":
+            fields = _geometry_full(graph, grid, r, lam, lamp, warp)
+        else:
+            fields = _geometry_axisym(graph, grid, r, lam, lamp, warp)
     if not np.isfinite(fields.kappa).all():
         bad = np.argwhere(~np.isfinite(fields.kappa))
         raise DiscretizationError(f"non-finite curvature at node index {bad[0].tolist()}")
@@ -234,8 +239,7 @@ def _geometry_axisym(graph, grid: AxisymGrid, r, lam, lamp, warp) -> GeometryFie
     H = n * E[..., 1]
     # |A|^2 - H^2/n via the curvature split, free of large-term cancellation
     Atr2 = (n - 1) / n * (k_rad - k_ang) ** 2
-    with np.errstate(over="ignore"):  # lam^n overflows first; geometry_fields raises
-        area_density = v * lam ** n
+    area_density = v * lam ** n
 
     return GeometryFields(
         graph=graph, warp=warp, r=r, lam=lam, lamp=lamp, v=v, u=u,
@@ -421,8 +425,10 @@ def generate_shape(grid, kind: str, r0: float, a: float = 0.0, eps: float = 0.0,
     kinds: "sphere" (geodesic sphere about the origin), "offset_sphere"
     (geodesic sphere with center displaced a < r0 along the polar axis),
     "perturbed_sphere" (r = r0 + eps * Y with Y a unit-L^2 degree-l
-    harmonic, zonal unless an order is given; rejected if any principal
-    curvature drops below hconvex_floor).
+    harmonic, zonal unless an order is given). Offset and perturbed
+    spheres are rejected if a principal curvature on the grid drops below
+    hconvex_floor, which on an offset sphere means the grid does not
+    resolve it.
     """
     if r0 <= 0.0:
         raise ValueError("r0 must be positive")
@@ -431,10 +437,10 @@ def generate_shape(grid, kind: str, r0: float, a: float = 0.0, eps: float = 0.0,
     if kind == "offset_sphere":
         if not 0.0 <= a < r0:
             raise ValueError("offset needs 0 <= a < r0 so the origin stays enclosed")
+        prof = _offset_sphere_profile(grid.theta, r0, a)
         if grid.backend == "full":
-            prof = _offset_sphere_profile(grid.theta, r0, a)
-            return RadialGraph(grid, np.repeat(prof[:, None], 2 * grid.J, axis=1))
-        return RadialGraph(grid, _offset_sphere_profile(grid.theta, r0, a))
+            prof = np.repeat(prof[:, None], 2 * grid.J, axis=1)
+        return _hconvex_or_reject(RadialGraph(grid, prof), hconvex_floor, "offset sphere")
     if kind == "perturbed_sphere":
         if l < 2:
             raise ValueError("perturbation mode l must be >= 2 (l <= 1 moves the center)")
@@ -447,14 +453,17 @@ def generate_shape(grid, kind: str, r0: float, a: float = 0.0, eps: float = 0.0,
         r = r0 + eps * Y
         if np.any(r <= 0.0):
             raise ShapeRejectionError("perturbation drives the radius nonpositive")
-        graph = RadialGraph(grid, r)
-        margin = hconvexity_margin(geometry_fields(graph))
-        if margin < hconvex_floor - 1.0:
-            raise ShapeRejectionError(
-                f"perturbed sphere not h-convex: min kappa = {1.0 + margin:.6f}", margin=margin
-            )
-        return graph
+        return _hconvex_or_reject(RadialGraph(grid, r), hconvex_floor, "perturbed sphere")
     raise ValueError(f"unknown shape kind {kind!r}")
+
+
+def _hconvex_or_reject(graph: RadialGraph, hconvex_floor: float, what: str) -> RadialGraph:
+    """The graph, unless a principal curvature drops below hconvex_floor."""
+    margin = hconvexity_margin(geometry_fields(graph))
+    if margin < hconvex_floor - 1.0:
+        raise ShapeRejectionError(f"{what} not h-convex: min kappa = {1.0 + margin:.6f}",
+                                  margin=margin)
+    return graph
 
 
 def random_hconvex_shape(grid, rng: np.random.Generator, r0_range=(0.7, 1.5),
@@ -545,42 +554,53 @@ class InradiusResult:
         return float(np.linalg.norm(np.atleast_1d(np.asarray(self.center, dtype=float))))
 
 
+def search_center(graph: RadialGraph, objective: Callable[[object], float], starts):
+    """Center of lowest objective value; returns (center, value, converged).
+
+    Each start is scored as it stands, then searched from: on the axisym
+    grid by one bounded scalar search over the axis segment [-max r, max r],
+    on the full grid by Nelder-Mead from every start. The lowest value wins
+    and a tie goes to the earlier candidate, the starts in the order given
+    first; converged is true when any search reported success.
+    """
+    candidates = [(start, objective(start)) for start in starts]
+    if graph.backend == "axisym":
+        span = float(graph.r.max())
+        results = [minimize_scalar(objective, bounds=(-span, span), method="bounded",
+                                   options={"xatol": 1e-11})]
+    else:
+        results = [minimize(objective, start, method="Nelder-Mead",
+                            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
+                   for start in starts]
+    candidates += [(res.x, res.fun) for res in results]
+    center, value = min(candidates, key=lambda cand: cand[1])
+    return center, float(value), any(bool(res.success) for res in results)
+
+
 def inradius(graph: RadialGraph) -> InradiusResult:
     """Largest rho so some center keeps every boundary node at distance >= rho.
 
-    Max-min optimization with multistart (origin plus a center-of-mass
-    proxy); the objective is concave-ish but nonsmooth, so a simplex
-    search is used and the best start wins. Trial centers are scored
-    through distance_range, which reduces before it takes arccosh.
+    Max-min search through search_center, from the origin and, on the full
+    grid, a center-of-mass proxy; the objective is nonsmooth, so the full
+    grid uses a simplex search. Trial centers are scored through
+    distance_range, which reduces before it takes arccosh.
     """
     grid, r = graph.grid, graph.r
     extremes = distance_range(grid, r)
+
+    def neg_min_distance(center):
+        return -extremes(center)[0]
+
     if grid.backend == "axisym":
-        def neg_obj(a):
-            return -extremes(float(a))[0]
-        span = float(r.max())
-        res = minimize_scalar(neg_obj, bounds=(-span, span), method="bounded",
-                              options={"xatol": 1e-11})
-        a_best, v_best = float(res.x), -float(res.fun)
-        if -neg_obj(0.0) >= v_best:
-            a_best, v_best = 0.0, -neg_obj(0.0)
-        return InradiusResult(v_best, a_best, bool(res.success))
-
-    def neg_obj(w):
-        return -extremes(w)[0]
-
+        center, value, ok = search_center(graph, neg_min_distance, [0.0])
+        return InradiusResult(-value, float(center), ok)
     com = np.tensordot(grid.sigma_weights * r, grid.xyz, axes=([0, 1], [0, 1]))
     com_norm = np.linalg.norm(com)
     starts = [np.zeros(3)]
     if com_norm > 1e-12:
         starts.append(com / com_norm * min(0.3 * float(r.min()), com_norm))
-    best, best_val, ok = np.zeros(3), -neg_obj(np.zeros(3)), True
-    for w0 in starts:
-        res = minimize(neg_obj, w0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-        if -res.fun > best_val:
-            best, best_val, ok = res.x, -res.fun, bool(res.success)
-    return InradiusResult(best_val, best, ok)
+    center, value, ok = search_center(graph, neg_min_distance, starts)
+    return InradiusResult(-value, center, ok)
 
 
 def hconvexity_margin(fields: GeometryFields) -> float:

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
-from .flow import DEFAULT_CFL, DEFAULT_TOL_STOP, FlowState, FlowTrace, run
+from .flow import DEFAULT_CFL, DEFAULT_T_MAX, DEFAULT_TOL_STOP, FlowState, FlowTrace, run
 from .hypersurface import (
     InradiusResult,
     RadialGraph,
@@ -33,6 +32,7 @@ from .hypersurface import (
     geometry_fields,
     inradius,
     quermassintegrals,
+    search_center,
 )
 from .symfunc import quotient_from_esym
 
@@ -105,37 +105,18 @@ def sphere_fit(graph: RadialGraph, inr: Optional[InradiusResult] = None) -> Sphe
     """Search the center that minimizes the radial gap, from the origin and
     from the inball center; `inr` is inradius(graph) when the caller
     already holds it."""
-    grid, r = graph.grid, graph.r
     if inr is None:
         inr = inradius(graph)
-    extremes = distance_range(grid, r)
+    extremes = distance_range(graph.grid, graph.r)
 
     def gap(center):
         lo, hi = extremes(center)
         return 0.5 * (hi - lo)
 
-    if graph.backend == "axisym":
-        bound = float(r.max())
-        res = minimize_scalar(gap, bounds=(-bound, bound), method="bounded",
-                              options={"xatol": 1e-11})
-        best_c, best_val, ok = float(res.x), float(res.fun), bool(res.success)
-        for start in (0.0, float(np.atleast_1d(inr.center)[0])):
-            v = gap(start)
-            if v < best_val:
-                best_c, best_val = start, v
-        center = np.array([0.0, 0.0, best_c])
-    else:
-        starts = [np.zeros(3), np.asarray(inr.center, dtype=float)]
-        best = None
-        ok = False
-        for s0 in starts:
-            res = minimize(gap, s0, method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-            if best is None or res.fun < best.fun:
-                best = res
-            ok = ok or bool(res.success)
-        best_c = center = np.asarray(best.x, dtype=float)
-    lo, hi = extremes(best_c)
+    axisym = graph.backend == "axisym"
+    best, _, ok = search_center(graph, gap, [0.0 if axisym else np.zeros(3), inr.center])
+    center = np.array([0.0, 0.0, best]) if axisym else np.array(best, dtype=float)
+    lo, hi = extremes(best)
     return SphereFit(center=center, radius=0.5 * (hi + lo), cheb=0.5 * (hi - lo),
                      converged=ok)
 
@@ -282,7 +263,7 @@ class ProofTraceReport:
 
 def proof_trace_check(graph: RadialGraph, m: int, *,
                       precomputed: Optional[tuple[FlowState, FlowTrace]] = None,
-                      t_max: float = 30.0, tol_stop: float = DEFAULT_TOL_STOP,
+                      t_max: float = DEFAULT_T_MAX, tol_stop: float = DEFAULT_TOL_STOP,
                       c_cfl: float = DEFAULT_CFL) -> ProofTraceReport:
     """Check int_0^stop int lam'(E_m - E_{m+1}E_{m-1}/E_m) dmu dt against
     ((n+1)/(n-m)) * deficit of the initial shape."""

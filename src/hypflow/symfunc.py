@@ -2,8 +2,8 @@
 
 E_k(kappa) = sigma_k(kappa) / C(n, k), so that E_k(c, ..., c) = c^k.
 The curvature quotient F = E_m / E_{m-1} drives the flow module; its
-gradient and the cone inequalities below are what make the flow parabolic
-on h-convex data.
+gradient and the cone inequalities it satisfies on h-convex spectra
+(checked by checks.check_symfunc_fuzz) are what make the flow parabolic.
 
 All evaluators accept arrays whose last axis indexes the n principal
 curvatures and broadcast over any leading grid axes.
@@ -11,19 +11,16 @@ curvatures and broadcast over any leading grid axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 
 __all__ = [
     "ConeViolationError",
-    "ConeCheckReport",
     "esym_all",
     "esym_grad",
     "quotient_eval",
     "quotient_from_esym",
-    "cone_checks",
 ]
 
 # Quotients with |E_{m-1}| below this are rejected as degenerate.
@@ -114,58 +111,3 @@ def quotient_from_esym(m: int, E: np.ndarray) -> np.ndarray:
     if np.any(Em1 <= QUOTIENT_FLOOR) or not np.all(np.isfinite(Em1)):
         raise ConeViolationError(f"E_{m-1} <= {QUOTIENT_FLOOR:g}: spectrum left the admissible cone")
     return E[..., m] / Em1
-
-
-@dataclass
-class ConeCheckReport:
-    """Slack of each structural inequality at one spectrum; >= 0 means it holds."""
-
-    hconvex: bool
-    f_value: float
-    grad_trace_lower: float        # sum_i dF_i - 1
-    grad_trace_upper: float        # m - sum_i dF_i
-    second_moment_lower: float     # sum_i kappa_i^2 dF_i - F^2
-    second_moment_upper: float     # (n+1-m) F^2 - sum_i kappa_i^2 dF_i
-    # (E_k^2 - E_{k-1}E_{k+1}) / max(E_k^2, |E_{k-1}E_{k+1}|, 1): the raw
-    # difference scales like kappa^(2k), so only a relative slack can be
-    # compared against one tolerance across k
-    newton_maclaurin: list[float] = field(default_factory=list)
-
-    def all_hold(self, tol: float = 0.0) -> bool:
-        slacks = [
-            self.grad_trace_lower,
-            self.grad_trace_upper,
-            self.second_moment_lower,
-            self.second_moment_upper,
-            *self.newton_maclaurin,
-        ]
-        return all(s >= -tol for s in slacks)
-
-
-def cone_checks(kappa, m: int) -> ConeCheckReport:
-    """Evaluate the quotient's structural inequalities on one spectrum.
-
-    For h-convex spectra every reported slack should be nonnegative:
-    1 <= sum dF <= m and F^2 <= sum kappa^2 dF <= (n+1-m) F^2, plus
-    E_{k-1}E_{k+1} <= E_k^2 for k = 1..n-1.
-    """
-    arr = _kappa_array(kappa)
-    if arr.ndim != 1:
-        raise ValueError("cone_checks takes a single spectrum")
-    n = arr.size
-    F, dF = quotient_eval(m, arr)
-    E = esym_all(arr)
-    trace = float(np.sum(dF))
-    second = float(np.sum(arr ** 2 * dF))
-    nm = [float((E[k] ** 2 - E[k - 1] * E[k + 1])
-                / max(E[k] ** 2, abs(E[k - 1] * E[k + 1]), 1.0))
-          for k in range(1, n)]
-    return ConeCheckReport(
-        hconvex=bool(arr.min() >= 1.0),
-        f_value=float(F),
-        grad_trace_lower=trace - 1.0,
-        grad_trace_upper=float(m) - trace,
-        second_moment_lower=second - F ** 2,
-        second_moment_upper=(n + 1 - m) * F ** 2 - second,
-        newton_maclaurin=nm,
-    )

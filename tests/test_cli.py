@@ -188,6 +188,30 @@ class TestMainQuermass:
         assert "W0 = " not in captured.out
         assert [str(w.message) for w in recwarn] == []
 
+    def test_warp_overflow_exits_numerical(self, tmp_path, capfd, recwarn):
+        # sinh(800) overflows: refused before any field is built from it
+        cfg = write_config(tmp_path, {"n": 2, "m": 1, "backend": "full", "J": 16,
+                                      "shape": {"kind": "sphere", "r0": 800}})
+        code = main(["quermass", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        captured = capfd.readouterr()
+        assert captured.err.splitlines() == [
+            "numerical failure: non-finite warp factor at radius 800"]
+        assert "W0 = " not in captured.out
+        assert [str(w.message) for w in recwarn] == []
+
+    def test_unresolved_offset_sphere_exits_numerical(self, tmp_path, capsys):
+        # a geodesic sphere of radius 1 has margin coth 1 - 1 ~ 0.313; at J=16
+        # the a=0.999 offset sphere showed a margin of -140.85
+        cfg = write_config(tmp_path, {"n": 2, "m": 1, "backend": "full", "J": 16,
+                                      "shape": {"kind": "offset_sphere", "r0": 1.0,
+                                                "a": 0.999}})
+        code = main(["quermass", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: offset sphere not h-convex")
+        assert "hconvexity_margin" not in captured.out
+
 
 class TestMainFlow:
     def test_writes_trace_and_svg(self, tmp_path, capsys):

@@ -12,7 +12,6 @@ from hypflow.conformal import (
     area_identity_check,
     conf_relation_residual,
     image_convexity_margin,
-    radius_from_ball,
     radius_to_ball,
     to_ball,
 )
@@ -28,7 +27,7 @@ def _image_and_fields(grid, kind, r0, **kw):
 class TestRadiusMaps:
     def test_roundtrip(self):
         r = np.linspace(0.01, 6.0, 200)
-        assert np.abs(radius_from_ball(radius_to_ball(r)) - r).max() < 1e-12
+        assert np.abs(2.0 * np.arctanh(radius_to_ball(r) / 2.0) - r).max() < 1e-12
 
     def test_log3_maps_to_one(self):
         # tanh(log(3)/2) = (3 - 1)/(3 + 1) = 1/2

@@ -15,6 +15,7 @@ import pytest
 import hypflow.flow as flow
 from hypflow.flow import (
     DEFAULT_CFL,
+    DEFAULT_T_MAX,
     HCONVEX_TOL,
     MONO_TOL,
     FlowState,
@@ -236,6 +237,19 @@ class TestMonitors:
         bad = dict(scalars)
         bad["maxF"] = st.maxF_init + 1.0
         assert "F_upper" in flow._monitor_flags(st, bad, 2)
+
+
+class TestStepSizePolicy:
+    def test_step_with_cfl_fraction_matches_run(self):
+        # step derives the polar cutoff from c_cfl exactly as run does
+        st = make_state(FullSphereGrid(32), eps=0.05, l=2, order=2)
+        dt = cfl_dt(st, DEFAULT_CFL)
+        new, _, _ = step(st, dt, DEFAULT_CFL)
+        final, trace = run(st, t_max=DEFAULT_T_MAX, c_cfl=DEFAULT_CFL, max_steps=1)
+        assert trace.stop_reason == "max_steps"
+        assert np.array_equal(new.graph.r, final.graph.r)
+        # and the cutoff acts: the unfiltered step lands elsewhere
+        assert not np.array_equal(step(st, dt)[0].graph.r, new.graph.r)
 
 
 class TestEvolutionIdentities:

@@ -8,6 +8,8 @@ Oracles used here:
     computed once from the closed profile formulas and pinned.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,7 @@ from hypflow.hypersurface import (
     integrate,
     quermassintegrals,
     random_hconvex_shape,
+    search_center,
     sinh_power_integral,
     traceless_measures,
 )
@@ -235,6 +238,13 @@ class TestGenerateShape:
             generate_shape(AxisymGrid(48, 2), "perturbed_sphere", 1.0, eps=0.8, l=2)
         assert exc.value.margin is not None and exc.value.margin < 0.0
 
+    @pytest.mark.parametrize("J, a", [(16, 0.999), (32, 0.99), (48, 0.999)])
+    def test_rejects_unresolved_offset_sphere(self, J, a):
+        # the exact sphere has min kappa = coth 1 > 1; these grids miss it
+        with pytest.raises(ShapeRejectionError, match="offset sphere not h-convex") as exc:
+            generate_shape(FullSphereGrid(J), "offset_sphere", 1.0, a=a)
+        assert exc.value.margin < 0.0
+
     def test_rejects_bad_parameters(self):
         grid = AxisymGrid(32, 2)
         with pytest.raises(ValueError):
@@ -302,6 +312,16 @@ class TestDistancesAndInradius:
             d = geodesic_distances(grid, g.r, c)
             assert extremes(c) == (float(d.min()), float(d.max()))
 
+    @pytest.mark.parametrize("grid", [FullSphereGrid(16), AxisymGrid(16, 2)],
+                             ids=["full", "axisym"])
+    def test_search_center_tie_goes_to_first_start(self, grid):
+        # a flat objective ties every candidate: the first start wins as given
+        graph = generate_shape(grid, "sphere", 1.0)
+        starts = [0.25, -0.5] if grid.backend == "axisym" else [np.full(3, 0.1), np.zeros(3)]
+        center, value, converged = search_center(graph, lambda c: 2.0, starts)
+        assert center is starts[0]
+        assert value == 2.0 and converged
+
     def test_inradius_sphere(self):
         res = inradius(generate_shape(AxisymGrid(48, 2), "sphere", 1.2))
         assert res.rho == pytest.approx(1.2, abs=1e-9)
@@ -330,10 +350,16 @@ class TestValidation:
             RadialGraph(grid, r)
 
     def test_curvature_overflow_raises(self):
-        # sinh overflows, curvature goes non-finite, geometry refuses
-        grid = AxisymGrid(16, 2)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DiscretizationError):
-            geometry_fields(RadialGraph(grid, np.full(grid.node_shape(), 800.0)))
+        # at r = 800 sinh itself overflows and geometry refuses the warp
+        # factor; at r = 400 lam^2 overflows inside the geometry, and the
+        # curvature check refuses; neither case lets NumPy warn
+        for grid in (AxisymGrid(16, 2), FullSphereGrid(16)):
+            for r0, message in ((800.0, "non-finite warp factor"),
+                                (400.0, "non-finite curvature")):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(DiscretizationError, match=message):
+                        geometry_fields(RadialGraph(grid, np.full(grid.node_shape(), r0)))
 
     def test_graph_shape_mismatch(self):
         grid = AxisymGrid(32, 2)

@@ -46,3 +46,69 @@ def test_no_unused_imports():
     unused = [hit for path in SOURCES if path.name != "__init__.py"
               for hit in unused_imports(path)]
     assert unused == []
+
+
+PACKAGE = ROOT / "src" / "hypflow"
+
+#: public names no CLI path reads: geodesic_distances is the reference the
+#: distance_range tests compare against, and the benchmark tracer wraps it
+REACH_EXEMPT = {("hypersurface", "geodesic_distances")}
+
+
+def _module_table(path: Path):
+    """(definitions, imports) of one module: each module-level name with the
+    statements that bind it, and each name bound by a relative import with
+    the (module, name) it refers to; a bare module import maps to (module, None)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defs: dict = {}
+    imports: dict = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.setdefault(node.name, []).append(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defs.setdefault(name.id, []).append(node)
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                imports[bound] = (node.module, alias.name) if node.module else (alias.name, None)
+    return defs, imports
+
+
+def _references(stmt, module: str, imports: dict):
+    """(module, name) of every name and module attribute the statement reads;
+    strings, and so docstrings and __all__, never count."""
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            yield imports.get(node.id, (module, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            target = imports.get(node.value.id)
+            if target is not None and target[1] is None:
+                yield target[0], node.attr
+
+
+def unreachable_public_names() -> list:
+    """Public module-level names of the package that no chain of name and
+    attribute references starting at cli.main reaches."""
+    tables = {path.stem: _module_table(path) for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"}
+    seen = {("cli", "main")}
+    todo = [("cli", "main")]
+    while todo:
+        module, name = todo.pop()
+        defs, imports = tables[module]
+        for stmt in defs.get(name, []):
+            for ref in _references(stmt, module, imports):
+                if ref[0] in tables and ref[1] in tables[ref[0]][0] and ref not in seen:
+                    seen.add(ref)
+                    todo.append(ref)
+    public = {(module, name) for module, (defs, _) in tables.items()
+              for name in defs if not name.startswith("_")}
+    return sorted(f"{module}.{name}" for module, name in public - seen - REACH_EXEMPT)
+
+
+def test_every_public_name_reachable_from_cli():
+    assert unreachable_public_names() == []

@@ -94,6 +94,15 @@ class TestSphereFit:
         assert fit.center_norm() < 1e-6
         assert fit.cheb == pytest.approx(eps * y_half_range, rel=0.02)
 
+    @pytest.mark.parametrize("grid", [FullSphereGrid(32), AxisymGrid(48, 2), AxisymGrid(48, 4)],
+                             ids=["full", "axisym_n2", "axisym_n4"])
+    def test_sphere_about_origin_centers_exactly_at_origin(self, grid):
+        # the origin is a start of both searches and wins every tie with a
+        # search result, so no rounding-level offset survives
+        graph = generate_shape(grid, "sphere", 1.0)
+        assert inradius(graph).center_norm() == 0.0
+        assert sphere_fit(graph).center_norm() == 0.0
+
     @pytest.mark.parametrize("grid", [AxisymGrid(48, 2), FullSphereGrid(24)],
                              ids=["axisym", "full"])
     def test_given_inradius_gives_same_fit(self, grid):
