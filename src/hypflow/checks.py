@@ -38,6 +38,10 @@ __all__ = ["CheckResult", "run_verify",
            "check_conformal", "check_variational", "check_pointwise_F"]
 
 
+#: grid size of the static checks
+_J = 96
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -73,13 +77,13 @@ def _sample_spectra(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
 
 
 @_timed
-def check_symfunc_fuzz(seed: int = 0, samples: int = 100_000) -> CheckResult:
+def check_symfunc_fuzz(seed: int = 0) -> CheckResult:
     """Newton-Maclaurin, Euler homogeneity, gradient positivity, midpoint
-    concavity, and the quotient trace/second-moment bounds on random
-    h-convex spectra."""
+    concavity, and the quotient trace/second-moment bounds on about 10^5
+    random h-convex spectra."""
     rng = np.random.default_rng(seed)
     combos = [(n, m) for n in range(2, 7) for m in range(1, n + 1)]
-    per = max(2, samples // len(combos))
+    per = max(2, 100_000 // len(combos))
     worst: dict[str, float] = {}
     total = 0
 
@@ -117,11 +121,11 @@ def check_symfunc_fuzz(seed: int = 0, samples: int = 100_000) -> CheckResult:
 
 
 @_timed
-def check_subset_oracle(seed: int = 0, trials: int = 200) -> CheckResult:
-    """esym_all against brute-force subset enumeration for n <= 6."""
+def check_subset_oracle(seed: int = 0) -> CheckResult:
+    """esym_all against brute-force subset enumeration for n <= 6, 200 trials."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(200):
         n = int(rng.integers(1, 7))
         kappa = rng.uniform(-2.0, 3.0, size=n)
         E = esym_all(kappa)
@@ -141,10 +145,9 @@ def _random_shape_pool(seed: int, count: int, J: int):
     return [random_hconvex_shape(grids[i % len(grids)], rng) for i in range(count)]
 
 
-def minkowski_residuals(graph, fields=None) -> np.ndarray:
+def minkowski_residuals(graph) -> np.ndarray:
     """Relative residual of int lam' E_k dmu = int u E_{k+1} dmu for each k."""
-    if fields is None:
-        fields = geometry_fields(graph)
+    fields = geometry_fields(graph)
     n = graph.n
     res = np.empty(n)
     for k in range(n):
@@ -155,20 +158,21 @@ def minkowski_residuals(graph, fields=None) -> np.ndarray:
 
 
 @_timed
-def check_minkowski(seed: int = 0, count: int = 20, J: int = 96) -> CheckResult:
+def check_minkowski(seed: int = 0) -> CheckResult:
+    count = 20
     worst = 0.0
-    for graph in _random_shape_pool(seed, count, J):
+    for graph in _random_shape_pool(seed, count, _J):
         worst = max(worst, float(minkowski_residuals(graph).max()))
     return CheckResult("minkowski_identity", worst <= 1e-5,
                        f"worst rel residual {worst:.2e} over {count} shapes, all k")
 
 
 @_timed
-def check_isometry(J: int = 96) -> CheckResult:
+def check_isometry() -> CheckResult:
     """Quermassintegrals of an off-center sphere match the centered ball."""
     worst = 0.0
     for r0, a in ((1.0, 0.3), (1.5, 0.6), (0.8, 0.25)):
-        graph = generate_shape(AxisymGrid(J, n=2), "offset_sphere", r0=r0, a=a)
+        graph = generate_shape(AxisymGrid(_J, n=2), "offset_sphere", r0=r0, a=a)
         W = quermassintegrals(graph)
         for k, w in enumerate(W):
             exact = ball_profile(graph.n, k, r0)
@@ -178,12 +182,13 @@ def check_isometry(J: int = 96) -> CheckResult:
 
 
 @_timed
-def check_deficit_fuzz(seed: int = 0, count: int = 200, J: int = 96) -> CheckResult:
+def check_deficit_fuzz(seed: int = 0) -> CheckResult:
     """Deficit nonnegative (to grid tolerance) on random h-convex shapes, and
     zero within 1e-6 on spheres and offset spheres."""
+    count = 200
     rng = np.random.default_rng(seed)
     worst_rel = np.inf
-    shapes = _random_shape_pool(seed + 1, count - 24, J)
+    shapes = _random_shape_pool(seed + 1, count - 24, _J)
     for graph in shapes:
         m = int(rng.integers(1, graph.n))
         d = deficit(graph, m)
@@ -192,7 +197,7 @@ def check_deficit_fuzz(seed: int = 0, count: int = 200, J: int = 96) -> CheckRes
     for i in range(24):
         r0 = float(rng.uniform(0.5, 2.0))
         a = float(rng.uniform(0.0, 0.4)) * (i % 2)
-        grid = AxisymGrid(J, n=2 + i % 3)
+        grid = AxisymGrid(_J, n=2 + i % 3)
         graph = (generate_shape(grid, "offset_sphere", r0=r0, a=min(a, 0.9 * r0))
                  if a > 0 else generate_shape(grid, "sphere", r0=r0))
         m = int(rng.integers(1, graph.n))
@@ -236,16 +241,16 @@ def check_canned_flow() -> CheckResult:
     if issues:
         detail += " | " + "; ".join(issues)
     result = CheckResult("canned_flow", not issues, detail)
-    result.payload = (graph, final, trace)
+    result.payload = (graph, trace)
     return result
 
 
 @_timed
 def check_proof_trace(canned_payload) -> CheckResult:
     """Accumulated dissipation integral vs ((n+1)/(n-m)) * initial deficit,
-    on the (graph, final state, trace) of check_canned_flow."""
-    graph, final, trace = canned_payload
-    rep = proof_trace_check(graph, 1, precomputed=(final, trace))
+    on the (graph, trace) of check_canned_flow."""
+    graph, trace = canned_payload
+    rep = proof_trace_check(graph, 1, trace)
     ok = rep.converged and rep.relative_residual <= 1e-2
     return CheckResult("proof_trace", ok,
                        f"cum={rep.cum_integral:.6e} target={rep.target:.6e} "
@@ -253,19 +258,19 @@ def check_proof_trace(canned_payload) -> CheckResult:
 
 
 @_timed
-def check_conformal(J: int = 96) -> CheckResult:
+def check_conformal() -> CheckResult:
     """Conformal-image identities: relation residual, convexity of the image,
     and the area identity."""
     worst_sphere = worst_pert = worst_area = 0.0
     worst_margin = np.inf
     cases = [
-        generate_shape(FullSphereGrid(J), "sphere", r0=0.5),
-        generate_shape(FullSphereGrid(J), "sphere", r0=1.0),
-        generate_shape(AxisymGrid(J, n=3), "sphere", r0=2.0),
-        generate_shape(FullSphereGrid(J), "perturbed_sphere", r0=1.0, eps=0.05, l=2),
-        generate_shape(FullSphereGrid(J), "perturbed_sphere", r0=1.0, eps=0.05, l=2, order=2),
-        generate_shape(AxisymGrid(J, n=2), "perturbed_sphere", r0=1.0, eps=0.05, l=3),
-        generate_shape(AxisymGrid(J, n=4), "perturbed_sphere", r0=1.2, eps=0.04, l=2),
+        generate_shape(FullSphereGrid(_J), "sphere", r0=0.5),
+        generate_shape(FullSphereGrid(_J), "sphere", r0=1.0),
+        generate_shape(AxisymGrid(_J, n=3), "sphere", r0=2.0),
+        generate_shape(FullSphereGrid(_J), "perturbed_sphere", r0=1.0, eps=0.05, l=2),
+        generate_shape(FullSphereGrid(_J), "perturbed_sphere", r0=1.0, eps=0.05, l=2, order=2),
+        generate_shape(AxisymGrid(_J, n=2), "perturbed_sphere", r0=1.0, eps=0.05, l=3),
+        generate_shape(AxisymGrid(_J, n=4), "perturbed_sphere", r0=1.2, eps=0.04, l=2),
     ]
     for i, graph in enumerate(cases):
         fields = geometry_fields(graph)
@@ -285,9 +290,9 @@ def check_conformal(J: int = 96) -> CheckResult:
 
 
 @_timed
-def check_variational(J: int = 64) -> CheckResult:
+def check_variational() -> CheckResult:
     """Finite-difference dW_k/dt against the first-variation formula."""
-    graph = generate_shape(FullSphereGrid(J), "perturbed_sphere", r0=1.0, eps=0.05, l=2)
+    graph = generate_shape(FullSphereGrid(64), "perturbed_sphere", r0=1.0, eps=0.05, l=2)
     state = FlowState.create(graph, m=1)
     rep = variational_check(state)
     ok = (rep.k_residuals[state.m + 1] <= 1e-3 and rep.minkowski_residual <= 1e-5

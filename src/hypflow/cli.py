@@ -91,12 +91,9 @@ class ShapeSpec:
     order: int = 0
 
     def build(self, grid) -> RadialGraph:
-        if self.kind == "sphere":
-            return generate_shape(grid, "sphere", r0=self.r0)
-        if self.kind == "offset_sphere":
-            return generate_shape(grid, "offset_sphere", r0=self.r0, a=self.a)
-        return generate_shape(grid, "perturbed_sphere", r0=self.r0, eps=self.eps, l=self.l,
-                              order=self.order)
+        # generate_shape reads only the keywords of its kind
+        return generate_shape(grid, self.kind, r0=self.r0, a=self.a, eps=self.eps,
+                              l=self.l, order=self.order)
 
     def label(self) -> str:
         if self.kind == "sphere":
@@ -158,6 +155,15 @@ def _get_int(obj, key, errs, path, *, lo=None, hi=None, default=None, required=F
     return v
 
 
+def _finite(v) -> bool:
+    """Whether a JSON number is a finite float: Python's json also reads
+    NaN, Infinity and integers too large for a float."""
+    try:
+        return bool(np.isfinite(float(v)))
+    except OverflowError:
+        return False
+
+
 def _get_num(obj, key, errs, path, *, lo=None, lo_strict=None, hi=None,
              default=None, required=False):
     if key not in obj:
@@ -168,10 +174,10 @@ def _get_num(obj, key, errs, path, *, lo=None, lo_strict=None, hi=None,
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         errs.append(f"{path}{key}: expected number, got {_typename(v)}")
         return default
-    v = float(v)
-    if not np.isfinite(v):
+    if not _finite(v):
         errs.append(f"{path}{key}: must be finite")
         return default
+    v = float(v)
     if lo is not None and v < lo:
         errs.append(f"{path}{key}: must be >= {lo}, got {v:g}")
         return default
@@ -329,6 +335,8 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
                 for i, v in enumerate(lst):
                     if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
                         errs.append(f"sweep.eps_list[{i}]: expected number >= 0, got {v!r}")
+                    elif not _finite(v):
+                        errs.append(f"sweep.eps_list[{i}]: must be finite")
                     else:
                         eps.append(float(v))
                 cfg.sweep_eps = eps
@@ -400,7 +408,7 @@ def cmd_flow(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
     fit = sphere_fit(final.graph)
     print(f"terminal_fit radius = {_g17(fit.radius)}  gap = {_g17(fit.cheb)}  "
           f"center_offset = {_g17(fit.center_norm())}")
-    proof = proof_trace_check(graph, cfg.m, precomputed=(final, trace))
+    proof = proof_trace_check(graph, cfg.m, trace)
     print(f"dissipation_residual = {_g17(proof.relative_residual)}")
     print(f"wrote {csv_path}")
     if plot:

@@ -90,11 +90,7 @@ def conf_relation_residual(hyp_fields: GeometryFields, image: ConformalImage) ->
 def image_convexity_margin(image: ConformalImage) -> float:
     """min over nodes/directions of kappa_euc - 2/(2+s); h-convex sources give >= 0."""
     bound = 2.0 / (2.0 + image.s)
-    if image.graph.backend == "full":
-        margin = image.fields.kappa - bound[..., None]
-    else:
-        margin = image.fields.kappa - bound[:, None]
-    return float(margin.min())
+    return float((image.fields.kappa - bound[..., None]).min())
 
 
 @dataclass

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .hypersurface import (
+    HCONVEX_TOL,
     GeometryFields,
     RadialGraph,
     DiscretizationError,
@@ -51,7 +51,6 @@ __all__ = [
     "DEFAULT_TOL_STOP",
     "DEFAULT_T_MAX",
     "MONO_TOL",
-    "HCONVEX_TOL",
 ]
 
 DEFAULT_CFL = 0.2
@@ -61,7 +60,6 @@ MAX_CFL = 0.22
 DEFAULT_TOL_STOP = 1e-6
 DEFAULT_T_MAX = 30.0
 MONO_TOL = 1e-10      # allowed relative W_{m+1} increase per accepted step
-HCONVEX_TOL = 1e-8    # allowed dip of min kappa below 1
 MAX_HALVINGS = 20
 SPEED_STOP = 1e-10    # stationary once max |f| drops below this
 
@@ -219,31 +217,35 @@ def _monitor_flags(state: FlowState, scalars: dict, n: int) -> list:
     return [name for name, bad in checks if bad]
 
 
-def _stage_filter(grid, c_cfl: Optional[float]):
+def _stage_filter(grid, c_cfl: float):
     """Filter for every stage state: on the full grid the polar Fourier
     cutoff 2/sqrt(c_cfl) that keeps RK4 stable at that CFL fraction; the
-    identity on the axisym grid or when c_cfl is None."""
-    if c_cfl is None or grid.backend != "full":
+    identity on the axisym grid."""
+    if grid.backend != "full":
         return lambda r: r
     c_pole = 2.0 / np.sqrt(c_cfl)
     return lambda r: grid.pole_filter(r, c_pole)
 
 
-def _rk4(state: FlowState, k1: np.ndarray, dt: float, filt) -> np.ndarray:
-    """Classical RK4 update of the radii over dt from the state's rate k1,
-    every stage state filtered."""
-    m, r0 = state.m, state.graph.r
+def _advance(state: FlowState, dt: float, filt) -> FlowState:
+    """Classical RK4 update of the radii over dt from the state's own rate,
+    every stage state filtered, with the post-state's geometry and
+    quermassintegrals; no acceptance test."""
+    m, r0, k1 = state.m, state.graph.r, state.speed[1]
     k2 = _graph_rate(state.graph.with_values(filt(r0 + 0.5 * dt * k1)), m)
     k3 = _graph_rate(state.graph.with_values(filt(r0 + 0.5 * dt * k2)), m)
     k4 = _graph_rate(state.graph.with_values(filt(r0 + dt * k3)), m)
-    return filt(r0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    graph = state.graph.with_values(filt(r0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
+    fields = geometry_fields(graph)
+    return replace(state, graph=graph, t=state.t + dt, fields=fields,
+                   W=quermassintegrals(graph, fields))
 
 
-def step(state: FlowState, dt: float, c_cfl: Optional[float] = None):
+def step(state: FlowState, dt: float, c_cfl: float):
     """One accepted RK4 step; halves dt until the post-state is admissible.
 
     c_cfl is the CFL fraction dt was chosen with; it sets the stage filter
-    (see _stage_filter), and None steps unfiltered.
+    (see _stage_filter).
 
     Returns (new_state, dt_used, halvings). Acceptance requires finite
     geometry, min kappa >= 1 - 1e-8, and relative W_{m+1} increase below
@@ -254,24 +256,20 @@ def step(state: FlowState, dt: float, c_cfl: Optional[float] = None):
         raise ValueError("dt must be positive")
     m = state.m
     filt = _stage_filter(state.graph.grid, c_cfl)
-    k1 = state.speed[1]
+    state.speed  # a state outside the cone raises here, not as a step failure
     last_err: dict = {}
     for halvings in range(MAX_HALVINGS + 1):
         try:
-            graph_new = state.graph.with_values(_rk4(state, k1, dt, filt))
-            fields_new = geometry_fields(graph_new)
-            W_new = quermassintegrals(graph_new, fields_new)
+            new_state = _advance(state, dt, filt)
         except (DiscretizationError, ConeViolationError, ValueError) as exc:
             last_err = {"error": str(exc)}
             dt *= 0.5
             continue
-        min_kappa = float(fields_new.kappa.min())
-        w_next = float(W_new[m + 1])
+        min_kappa = float(new_state.fields.kappa.min())
+        w_next = float(new_state.W[m + 1])
         w_prev = float(state.W[m + 1])
         mono_ok = w_next <= w_prev + MONO_TOL * abs(w_prev)
         if min_kappa >= 1.0 - HCONVEX_TOL and mono_ok:
-            new_state = replace(state, graph=graph_new, t=state.t + dt,
-                                fields=fields_new, W=W_new)
             return new_state, dt, halvings
         last_err = {"min_kappa": min_kappa, "W_next": w_next, "W_prev": w_prev}
         dt *= 0.5
@@ -336,18 +334,12 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
 # residual checks against the exact evolution identities
 
 
-def _probe_states(state: FlowState, h: float, count: int, c_cfl: float):
-    """Forward RK4 probe trajectory (no acceptance logic), count steps of size h."""
-    filt = _stage_filter(state.graph.grid, c_cfl)
-    out = [state]
-    cur = state
-    for _ in range(count):
-        graph_new = cur.graph.with_values(_rk4(cur, cur.speed[1], h, filt))
-        fields_new = geometry_fields(graph_new)
-        cur = replace(cur, graph=graph_new, t=cur.t + h, fields=fields_new,
-                      W=quermassintegrals(graph_new, fields_new))
-        out.append(cur)
-    return out
+def _probe_states(state: FlowState, h: float):
+    """The state and two forward RK4 probe steps of size h, stage-filtered
+    as at DEFAULT_CFL (no acceptance logic)."""
+    filt = _stage_filter(state.graph.grid, DEFAULT_CFL)
+    s1 = _advance(state, h, filt)
+    return state, s1, _advance(s1, h, filt)
 
 
 @dataclass
@@ -357,17 +349,17 @@ class VariationalReport:
     h_used: float
 
 
-def variational_check(state: FlowState, h_t: Optional[float] = None,
-                      c_cfl: float = DEFAULT_CFL) -> VariationalReport:
+def variational_check(state: FlowState) -> VariationalReport:
     """Centered-difference d/dt W_k against ((n+1-k)/(n+1)) int f E_k dmu.
 
-    Uses two forward probe steps and centers the difference at t + h, where
-    the integral formula is evaluated; k = m doubles as the discrete
-    Minkowski-formula check since conservation makes that integral vanish.
+    Uses two forward probe steps of h = cfl_dt/8 and centers the difference
+    at t + h, where the integral formula is evaluated; k = m doubles as the
+    discrete Minkowski-formula check since conservation makes that integral
+    vanish.
     """
     n, m = state.graph.n, state.m
-    h = h_t if h_t is not None else cfl_dt(state, c_cfl) / 8.0
-    s0, s1, s2 = _probe_states(state, h, 2, c_cfl)
+    h = cfl_dt(state) / 8.0
+    s0, s1, s2 = _probe_states(state, h)
     f = s1.speed[0]
     residuals = np.zeros(n + 1)
     mink = 0.0
@@ -430,8 +422,7 @@ def _surface_christoffel_full(fields: GeometryFields):
     return inv, gam
 
 
-def pointwise_F_check(state: FlowState, h_t: Optional[float] = None,
-                      c_cfl: float = DEFAULT_CFL) -> FResidualReport:
+def pointwise_F_check(state: FlowState) -> FResidualReport:
     """Nodewise residual of the exact evolution law of F along the flow,
 
         dF/dt - (lam'/F^2) F^{ij} grad^2_{ij} F - <lam d_r, grad F>
@@ -441,12 +432,13 @@ def pointwise_F_check(state: FlowState, h_t: Optional[float] = None,
     with dF/dt taken in the normal gauge (the graph-gauge time derivative
     minus the tangential-velocity transport f v <grad F, d_r>). The time
     derivative uses a second-order one-sided difference from two forward
-    probe steps; everything else is evaluated at the current state.
+    probe steps of h = cfl_dt/4; everything else is evaluated at the
+    current state.
     """
     m = state.m
     grid = state.graph.grid
-    h = h_t if h_t is not None else cfl_dt(state, c_cfl) / 4.0
-    s0, s1, s2 = _probe_states(state, h, 2, c_cfl)
+    h = cfl_dt(state) / 4.0
+    s0, s1, s2 = _probe_states(state, h)
 
     def F_of(st):
         F, dF = quotient_eval(m, st.fields.kappa)

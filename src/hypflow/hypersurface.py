@@ -51,7 +51,10 @@ __all__ = [
     "hconvexity_margin",
     "traceless_measures",
     "sinh_power_integral",
+    "HCONVEX_TOL",
 ]
+
+HCONVEX_TOL = 1e-8    # allowed dip of min kappa below 1, by rounding or per flow step
 
 
 class DiscretizationError(RuntimeError):
@@ -323,7 +326,7 @@ def _ball_profile_slope(n: int, m: int, r: float) -> float:
     return (n + 1 - m) / (n + 1) * coth ** m * omega * np.sinh(r) ** n
 
 
-def ball_profile_inverse(n: int, m: int, w: float, tol: float = 1e-12) -> float:
+def ball_profile_inverse(n: int, m: int, w: float) -> float:
     """Radius of the geodesic ball with W_m = w; bisection bracket, Newton polish."""
     if w <= 0.0:
         raise ValueError("profile value must be positive (W_m -> 0 as r -> 0)")
@@ -350,7 +353,7 @@ def ball_profile_inverse(n: int, m: int, w: float, tol: float = 1e-12) -> float:
             hi = min(hi, max(r, lo))
         step = g / _ball_profile_slope(n, m, r)
         r_new = r - step
-        if abs(step) <= tol * max(1.0, abs(r)):
+        if abs(step) <= 1e-12 * max(1.0, abs(r)):
             return float(min(max(r_new, lo), hi))
         if not lo - slack <= r_new <= hi + slack:
             r_new = 0.5 * (lo + hi)
@@ -427,8 +430,8 @@ def generate_shape(grid, kind: str, r0: float, a: float = 0.0, eps: float = 0.0,
     "perturbed_sphere" (r = r0 + eps * Y with Y a unit-L^2 degree-l
     harmonic, zonal unless an order is given). Offset and perturbed
     spheres are rejected if a principal curvature on the grid drops below
-    hconvex_floor, which on an offset sphere means the grid does not
-    resolve it.
+    hconvex_floor by more than HCONVEX_TOL, which on an offset sphere means
+    the grid does not resolve it.
     """
     if r0 <= 0.0:
         raise ValueError("r0 must be positive")
@@ -458,23 +461,24 @@ def generate_shape(grid, kind: str, r0: float, a: float = 0.0, eps: float = 0.0,
 
 
 def _hconvex_or_reject(graph: RadialGraph, hconvex_floor: float, what: str) -> RadialGraph:
-    """The graph, unless a principal curvature drops below hconvex_floor."""
+    """The graph, unless a principal curvature drops below hconvex_floor by
+    more than HCONVEX_TOL (a round shape sits on the floor up to rounding)."""
     margin = hconvexity_margin(geometry_fields(graph))
-    if margin < hconvex_floor - 1.0:
+    if margin < hconvex_floor - 1.0 - HCONVEX_TOL:
         raise ShapeRejectionError(f"{what} not h-convex: min kappa = {1.0 + margin:.6f}",
                                   margin=margin)
     return graph
 
 
-def random_hconvex_shape(grid, rng: np.random.Generator, r0_range=(0.7, 1.5),
-                         margin_target: float = 0.15, max_mode: int = 4) -> RadialGraph:
-    """Random smooth h-convex graph: harmonic mix over 2 <= l <= max_mode,
-    amplitude shrunk geometrically until the curvature margin clears the target."""
+def random_hconvex_shape(grid, rng: np.random.Generator) -> RadialGraph:
+    """Random smooth h-convex graph: harmonic mix over 2 <= l <= 4, amplitude
+    shrunk geometrically until the curvature margin clears 0.15."""
+    margin_target = 0.15
     # keep the base sphere itself comfortably inside the margin (coth r0 - 1 >= target)
     r0_cap = 0.95 * np.arctanh(1.0 / (1.0 + margin_target + 0.05))
-    r0 = min(float(rng.uniform(*r0_range)), float(r0_cap))
+    r0 = min(float(rng.uniform(0.7, 1.5)), float(r0_cap))
     bump = np.zeros(grid.node_shape())
-    for l in range(2, max_mode + 1):
+    for l in range(2, 5):
         if grid.backend == "full":
             for order in range(0, min(l, 2) + 1):
                 bump += rng.standard_normal() * _full_harmonic(grid, l, order=order)

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .flow import DEFAULT_CFL, DEFAULT_T_MAX, DEFAULT_TOL_STOP, FlowState, FlowTrace, run
+from .flow import FlowTrace
 from .hypersurface import (
     InradiusResult,
     RadialGraph,
@@ -199,30 +199,23 @@ def _sweep_one(family: Callable[[float], RadialGraph], m: int, eps: float):
 
 
 def stability_sweep(family: Callable[[float], RadialGraph], m: int,
-                    eps_list: Sequence[float], *, n: Optional[int] = None,
+                    eps_list: Sequence[float], *, n: int,
                     workers: Optional[int] = None) -> SweepResult:
-    """Static sweep over perturbation amplitudes; members run concurrently
-    on `workers` threads (see sweep_worker_count) and results come back
-    sorted by eps."""
+    """Static sweep over perturbation amplitudes of shapes in H^{n+1};
+    members run concurrently on `workers` threads (see sweep_worker_count)
+    and results come back sorted by eps."""
     eps_sorted = sorted(float(e) for e in eps_list)
     if not eps_sorted:
         raise ValueError("eps_list must be nonempty")
-    workers = sweep_worker_count(len(eps_sorted), workers)
-    if workers == 1:
-        outcomes = [_sweep_one(family, m, e) for e in eps_sorted]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda e: _sweep_one(family, m, e), eps_sorted))
+    with ThreadPoolExecutor(max_workers=sweep_worker_count(len(eps_sorted), workers)) as pool:
+        outcomes = list(pool.map(lambda e: _sweep_one(family, m, e), eps_sorted))
     records, rejections = [], []
-    dim = n
     for status, eps, payload in outcomes:
         if status == "ok":
             records.append(payload)
         else:
             rejections.append((eps, payload))
-    if records and dim is None:
-        dim = family(records[0].eps).n
-    return SweepResult(records=records, rejections=rejections, m=m, n=dim or 0)
+    return SweepResult(records=records, rejections=rejections, m=m, n=n)
 
 
 def exponent_fit(records: Sequence[SweepRecord]) -> tuple[float, float, float]:
@@ -261,19 +254,12 @@ class ProofTraceReport:
     converged: bool
 
 
-def proof_trace_check(graph: RadialGraph, m: int, *,
-                      precomputed: Optional[tuple[FlowState, FlowTrace]] = None,
-                      t_max: float = DEFAULT_T_MAX, tol_stop: float = DEFAULT_TOL_STOP,
-                      c_cfl: float = DEFAULT_CFL) -> ProofTraceReport:
-    """Check int_0^stop int lam'(E_m - E_{m+1}E_{m-1}/E_m) dmu dt against
-    ((n+1)/(n-m)) * deficit of the initial shape."""
+def proof_trace_check(graph: RadialGraph, m: int, trace: FlowTrace) -> ProofTraceReport:
+    """Check int_0^stop int lam'(E_m - E_{m+1}E_{m-1}/E_m) dmu dt, the last
+    cumDeficitIntegral of the flow trace started at graph, against
+    ((n+1)/(n-m)) * deficit of graph."""
     n = graph.n
     defres = deficit(graph, m)
-    if precomputed is not None:
-        final_state, trace = precomputed
-    else:
-        final_state, trace = run(FlowState.create(graph, m), t_max=t_max,
-                                 tol_stop=tol_stop, c_cfl=c_cfl)
     cum = float(trace.rows[-1][-1])
     target = (n + 1) / (n - m) * defres.value
     if abs(target) < 1e-12:

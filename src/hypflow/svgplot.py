@@ -14,16 +14,17 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-__all__ = ["line_plot", "flow_svg", "sweep_svg"]
+__all__ = ["flow_svg", "sweep_svg"]
 
 _PALETTE = ("#1965b0", "#dc050c", "#4eb265", "#f7a022", "#882e72")
 _FONT = "font-family=\"Helvetica,Arial,sans-serif\""
 
 
-def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _linear_ticks(lo: float, hi: float) -> list[float]:
+    """About five round-numbered ticks spanning [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(target, 2)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -99,7 +100,7 @@ class _Axes:
 
 
 def _panel(series, *, title="", xlabel="", ylabel="", logx=False, logy=False,
-           ref_slopes=(), origin=(0, 0), size=(640, 420)) -> str:
+           ref_slopes=(), origin=(0, 0), size) -> str:
     """One plot panel as a translated <g> element."""
     ox, oy = origin
     width, height = size
@@ -197,14 +198,6 @@ def _wrap(inner: str, width: int, height: int) -> str:
             f"{inner}\n</svg>\n")
 
 
-def line_plot(series, *, title="", xlabel="", ylabel="", logx=False, logy=False,
-              ref_slopes=(), size=(640, 420)) -> str:
-    """Standalone single-panel SVG; `series` is a list of (name, x, y)."""
-    return _wrap(_panel(series, title=title, xlabel=xlabel, ylabel=ylabel,
-                        logx=logx, logy=logy, ref_slopes=ref_slopes, size=size),
-                 size[0], size[1])
-
-
 def flow_svg(trace, m: int) -> str:
     """Two-panel flow history: W_{m+1}(t), and traceless-curvature norms on log-y."""
     t = trace.column("t")
@@ -230,9 +223,11 @@ def sweep_svg(result) -> str:
     d = np.array([r.deficit for r in recs])
     y = np.array([r.dist for r in recs])
     mexp = 1.0 / (result.m + 2)
-    return line_plot(
+    panel = _panel(
         [("dist", d, y)],
         title=f"sphere-distance vs deficit (n={result.n}, m={result.m})",
         xlabel="deficit", ylabel="Chebyshev gap", logx=True, logy=True,
         ref_slopes=((mexp, f"slope 1/{result.m + 2}"), (0.5, "slope 1/2")),
+        size=(640, 420),
     )
+    return _wrap(panel, 640, 420)

@@ -113,6 +113,18 @@ class TestParseConfig:
         bad["sweep"] = {"eps_list": [0.05, -0.1]}
         with pytest.raises(ConfigError, match=r"eps_list\[1\]"):
             parse_config(bad, "sweep")
+        # Python's json reads NaN, Infinity and integers beyond float range;
+        # each is reported with its key path
+        huge = "1" + "0" * 400
+        bad = json.loads(json.dumps(SWEEP_CFG).replace(
+            '"r0": 1.0', f'"r0": {huge}').replace("[0.05, 0.1, 0.2]",
+                                                  f"[0.05, NaN, Infinity, {huge}]"))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(bad, "sweep")
+        assert exc.value.errors == ["shape.r0: must be finite",
+                                    "sweep.eps_list[1]: must be finite",
+                                    "sweep.eps_list[2]: must be finite",
+                                    "sweep.eps_list[3]: must be finite"]
 
     def test_shape_key_sets_are_strict(self):
         with pytest.raises(ConfigError, match="shape.a: unknown key"):
@@ -372,6 +384,10 @@ class TestMainPlumbing:
         out = capsys.readouterr().out
         assert "verify: 1/2 checks passed" in out
         assert "FAIL" in out
+
+    def test_verify_runs_every_check(self, capsys):
+        assert main(["verify"]) == EXIT_OK
+        assert "verify: 10/10 checks passed (seed=0)" in capsys.readouterr().out
 
     def test_verify_all_pass_exit_zero(self, capsys, monkeypatch):
         from hypflow.checks import CheckResult

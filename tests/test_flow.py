@@ -16,20 +16,18 @@ import hypflow.flow as flow
 from hypflow.flow import (
     DEFAULT_CFL,
     DEFAULT_T_MAX,
-    HCONVEX_TOL,
     MONO_TOL,
     FlowState,
     FlowTrace,
     StepFailureError,
     cfl_dt,
     normal_speed,
-    pointwise_F_check,
     run,
     step,
     variational_check,
 )
 from hypflow.grids import AxisymGrid, FullSphereGrid
-from hypflow.hypersurface import RadialGraph, generate_shape, geometry_fields
+from hypflow.hypersurface import HCONVEX_TOL, RadialGraph, generate_shape, geometry_fields
 from hypflow.symfunc import ConeViolationError, quotient_eval, quotient_from_esym
 
 
@@ -93,7 +91,7 @@ class TestStep:
     def test_plain_step_advances_time(self):
         st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
         dt = cfl_dt(st)
-        new, dt_used, halvings = step(st, dt)
+        new, dt_used, halvings = step(st, dt, DEFAULT_CFL)
         assert halvings == 0
         assert dt_used == dt
         assert new.t == pytest.approx(dt)
@@ -102,7 +100,7 @@ class TestStep:
     def test_oversized_step_halves_until_accepted(self):
         st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
         with np.errstate(all="ignore"):
-            new, dt_used, halvings = step(st, 50.0)
+            new, dt_used, halvings = step(st, 50.0, DEFAULT_CFL)
         assert halvings > 0
         assert dt_used == pytest.approx(50.0 / 2 ** halvings)
         assert new.fields.kappa.min() >= 1.0 - HCONVEX_TOL
@@ -111,7 +109,7 @@ class TestStep:
         monkeypatch.setattr(flow, "MAX_HALVINGS", 0)
         st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
         with np.errstate(all="ignore"), pytest.raises(StepFailureError) as exc:
-            step(st, 50.0)
+            step(st, 50.0, DEFAULT_CFL)
         err = exc.value
         assert err.t == pytest.approx(0.0)
         assert isinstance(err.diagnostics, dict) and err.diagnostics
@@ -248,8 +246,8 @@ class TestStepSizePolicy:
         final, trace = run(st, t_max=DEFAULT_T_MAX, c_cfl=DEFAULT_CFL, max_steps=1)
         assert trace.stop_reason == "max_steps"
         assert np.array_equal(new.graph.r, final.graph.r)
-        # and the cutoff acts: the unfiltered step lands elsewhere
-        assert not np.array_equal(step(st, dt)[0].graph.r, new.graph.r)
+        # and the cutoff acts: the looser cutoff of a smaller fraction lands elsewhere
+        assert not np.array_equal(step(st, dt, 0.01)[0].graph.r, new.graph.r)
 
 
 class TestEvolutionIdentities:
@@ -266,18 +264,3 @@ class TestEvolutionIdentities:
         rep = variational_check(st)
         assert rep.k_residuals.max() < 2e-3
         assert rep.minkowski_residual < 1e-4
-
-    def test_pointwise_F_equation_axisym(self):
-        st = make_state(AxisymGrid(48, 2), eps=0.1, l=2)
-        rep = pointwise_F_check(st)
-        assert rep.max_residual < 1e-5
-
-    def test_pointwise_F_equation_full(self):
-        st = make_state(FullSphereGrid(32), eps=0.05, l=2, order=2)
-        rep = pointwise_F_check(st)
-        assert rep.max_residual < 2e-4
-
-    def test_pointwise_F_higher_order(self):
-        st = make_state(AxisymGrid(48, 4), eps=0.05, l=2, m=2)
-        rep = pointwise_F_check(st)
-        assert rep.max_residual < 1e-4

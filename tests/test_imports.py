@@ -112,3 +112,82 @@ def unreachable_public_names() -> list:
 
 def test_every_public_name_reachable_from_cli():
     assert unreachable_public_names() == []
+
+
+CALLERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+#: defaulted parameters no caller needs to set: the loop guard of flow.run,
+#: and the argv of cli.main, which the console script calls bare
+DEFAULT_EXEMPT = {("flow", "run", "max_steps"), ("cli", "main", "argv")}
+
+
+def _public_functions(tree):
+    """(call name, function node, bound) of each public module-level function
+    and each public method of a public class; an __init__ is called by its
+    class name, and bound is 1 when the first parameter is self or cls."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                if fn.name == "__init__":
+                    yield node.name, fn, 1
+                elif not fn.name.startswith("_"):
+                    yield fn.name, fn, 0 if static else 1
+
+
+def _defaulted_parameters():
+    """(module, call name, parameter, position) of every parameter with a
+    default of a public function; position counts the positional
+    parameters a call fills, None for a keyword-only parameter."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, fn, bound in _public_functions(tree):
+            args = fn.args
+            positional = (args.posonlyargs + args.args)[bound:]
+            for arg in positional[len(positional) - len(args.defaults):]:
+                yield path.stem, name, arg.arg, positional.index(arg)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield path.stem, name, arg.arg, None
+
+
+def _calls():
+    """Callee bare name -> list of (positional count, keyword names, starred)
+    over every call in the package and the benchmark."""
+    calls: dict = {}
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            keywords = {kw.arg for kw in node.keywords}
+            starred = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append((len(node.args), keywords, starred))
+    return calls
+
+
+def unset_defaults() -> list:
+    """Defaulted parameters of public functions in the package that no call
+    in the package or the benchmark passes, by keyword or by position;
+    calls are matched on the callee's bare name."""
+    calls = _calls()
+    unset = []
+    for module, name, param, position in _defaulted_parameters():
+        if (module, name, param) in DEFAULT_EXEMPT:
+            continue
+        if not any(starred or param in keywords
+                   or (position is not None and count > position)
+                   for count, keywords, starred in calls.get(name, [])):
+            unset.append(f"{module}.{name}({param})")
+    return unset
+
+
+def test_every_default_is_set_by_some_caller():
+    assert unset_defaults() == []

@@ -116,7 +116,7 @@ class TestSphereFit:
 class TestSweep:
     def test_records_sorted_and_conventions(self):
         res = stability_sweep(perturbed_family(AxisymGrid(48, 2)), 1,
-                              [0.1, 0.0, 0.05, 0.2], workers=1)
+                              [0.1, 0.0, 0.05, 0.2], n=2, workers=1)
         eps = [r.eps for r in res.records]
         assert eps == sorted(eps) and len(res.records) == 4
         zero = res.records[0]
@@ -128,7 +128,7 @@ class TestSweep:
 
     def test_rejected_member_recorded_not_fatal(self):
         res = stability_sweep(perturbed_family(AxisymGrid(48, 2)), 1,
-                              [0.05, 0.1, 0.8], workers=1)
+                              [0.05, 0.1, 0.8], n=2, workers=1)
         assert len(res.records) == 2
         assert len(res.rejections) == 1
         assert res.rejections[0][0] == 0.8
@@ -142,7 +142,7 @@ class TestSweep:
             return inradius(graph)
         monkeypatch.setattr(stability, "inradius", counted)
         res = stability_sweep(perturbed_family(AxisymGrid(32, 2)), 1,
-                              [0.0, 0.05, 0.1, 0.8], workers=1)
+                              [0.0, 0.05, 0.1, 0.8], n=2, workers=1)
         assert len(res.records) == 3 and len(res.rejections) == 1
         assert len(calls) == 3
 
@@ -157,8 +157,8 @@ class TestSweep:
 
     def test_thread_invariance(self):
         fam = perturbed_family(AxisymGrid(48, 2))
-        res1 = stability_sweep(fam, 1, [0.05, 0.1, 0.2], workers=1)
-        res4 = stability_sweep(fam, 1, [0.05, 0.1, 0.2], workers=4)
+        res1 = stability_sweep(fam, 1, [0.05, 0.1, 0.2], n=2, workers=1)
+        res4 = stability_sweep(fam, 1, [0.05, 0.1, 0.2], n=2, workers=4)
         assert list(res1.csv_lines()) == list(res4.csv_lines())
 
     def test_worker_count_resolution(self, monkeypatch):
@@ -175,7 +175,7 @@ class TestSweep:
             "eps,deficit,dist,ratio_m2,ratio_3,minF,maxF,maxH,rhoMinus"
 
     def test_csv_row_roundtrip(self):
-        res = stability_sweep(perturbed_family(AxisymGrid(48, 2)), 1, [0.1], workers=1)
+        res = stability_sweep(perturbed_family(AxisymGrid(48, 2)), 1, [0.1], n=2, workers=1)
         row = res.records[0].csv_row()
         vals = [float(x) for x in row.split(",")]
         assert len(vals) == 9
@@ -183,7 +183,7 @@ class TestSweep:
 
     def test_empty_eps_list_rejected(self):
         with pytest.raises(ValueError):
-            stability_sweep(perturbed_family(AxisymGrid(32, 2)), 1, [])
+            stability_sweep(perturbed_family(AxisymGrid(32, 2)), 1, [], n=2)
 
 
 class TestExponentFit:
@@ -200,14 +200,14 @@ class TestExponentFit:
 
     def test_real_sweep_slope_near_half(self):
         res = stability_sweep(perturbed_family(AxisymGrid(48, 2)), 1,
-                              [0.05, 0.1, 0.2], workers=1)
+                              [0.05, 0.1, 0.2], n=2, workers=1)
         slope, _, r2 = exponent_fit(res.records)
         assert slope == pytest.approx(0.5, abs=0.05)
         assert r2 > 0.999
 
     def test_too_few_points(self):
         res = stability_sweep(perturbed_family(AxisymGrid(48, 2)), 1,
-                              [0.0, 0.05, 0.1], workers=1)
+                              [0.0, 0.05, 0.1], n=2, workers=1)
         with pytest.raises(InsufficientDataError):
             exponent_fit(res.records)  # only 2 usable points
 
@@ -222,7 +222,8 @@ class TestExponentFit:
 class TestProofTrace:
     def test_identity_along_full_relaxation(self):
         g = generate_shape(AxisymGrid(48, 2), "perturbed_sphere", 1.0, eps=0.1, l=2)
-        rep = proof_trace_check(g, 1, t_max=30.0)
+        _, trace = run(FlowState.create(g, 1), t_max=30.0)
+        rep = proof_trace_check(g, 1, trace)
         assert rep.converged
         assert rep.stop_reason == "traceless_small"
         assert rep.relative_residual < 1e-3
@@ -232,8 +233,9 @@ class TestProofTrace:
         assert 0.0 < rep.window_constant < 100.0
 
     def test_sphere_trivial(self):
-        rep = proof_trace_check(generate_shape(AxisymGrid(32, 2), "sphere", 1.0), 1,
-                                t_max=1.0)
+        g = generate_shape(AxisymGrid(32, 2), "sphere", 1.0)
+        _, trace = run(FlowState.create(g, 1), t_max=1.0)
+        rep = proof_trace_check(g, 1, trace)
         assert rep.cum_integral == 0.0
         assert abs(rep.target) < 1e-12
         assert rep.converged
@@ -242,13 +244,14 @@ class TestProofTrace:
     def test_precomputed_run_is_reused(self):
         g = generate_shape(AxisymGrid(48, 2), "perturbed_sphere", 1.0, eps=0.1, l=2)
         pre = run(FlowState.create(g, 1), t_max=30.0)
-        rep = proof_trace_check(g, 1, precomputed=pre, t_max=30.0)
-        rep2 = proof_trace_check(g, 1, precomputed=pre, t_max=30.0)
+        rep = proof_trace_check(g, 1, pre[1])
+        rep2 = proof_trace_check(g, 1, pre[1])
         assert rep.cum_integral == rep2.cum_integral == float(pre[1].rows[-1][-1])
         assert rep.relative_residual < 1e-3
 
     def test_truncated_run_reports_skipped(self):
         g = generate_shape(AxisymGrid(48, 2), "perturbed_sphere", 1.0, eps=0.1, l=2)
-        rep = proof_trace_check(g, 1, t_max=0.05)
+        _, trace = run(FlowState.create(g, 1), t_max=0.05)
+        rep = proof_trace_check(g, 1, trace)
         assert rep.stop_reason == "t_max"
         assert not rep.converged
