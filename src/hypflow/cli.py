@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
-
-import numpy as np
 
 from .conformal import area_identity_check, conf_relation_residual, image_convexity_margin, to_ball
 from .checks import run_verify
@@ -133,106 +132,70 @@ class ExperimentConfig:
         return self.shape.build(self.build_grid())
 
 
-def _typename(v) -> str:
-    return type(v).__name__
-
-
-def _get_int(obj, key, errs, path, *, lo=None, hi=None, default=None, required=False):
-    if key not in obj:
-        if required:
-            errs.append(f"{path}{key}: required")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        errs.append(f"{path}{key}: expected integer, got {_typename(v)}")
-        return default
-    if lo is not None and v < lo:
-        errs.append(f"{path}{key}: must be >= {lo}, got {v}")
-        return default
-    if hi is not None and v > hi:
-        errs.append(f"{path}{key}: must be <= {hi}, got {v}")
-        return default
-    return v
-
-
 def _finite(v) -> bool:
     """Whether a JSON number is a finite float: Python's json also reads
     NaN, Infinity and integers too large for a float."""
     try:
-        return bool(np.isfinite(float(v)))
+        return math.isfinite(v)
     except OverflowError:
         return False
 
 
-def _get_num(obj, key, errs, path, *, lo=None, lo_strict=None, hi=None,
-             default=None, required=False):
-    if key not in obj:
-        if required:
-            errs.append(f"{path}{key}: required")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        errs.append(f"{path}{key}: expected number, got {_typename(v)}")
-        return default
-    if not _finite(v):
-        errs.append(f"{path}{key}: must be finite")
-        return default
-    v = float(v)
-    if lo is not None and v < lo:
-        errs.append(f"{path}{key}: must be >= {lo}, got {v:g}")
-        return default
-    if lo_strict is not None and v <= lo_strict:
-        errs.append(f"{path}{key}: must be > {lo_strict}, got {v:g}")
-        return default
-    if hi is not None and v > hi:
-        errs.append(f"{path}{key}: must be <= {hi}, got {v:g}")
-        return default
-    return v
-
-
-def _check_unknown(obj, allowed, errs, path=""):
-    for key in obj:
-        if key not in allowed:
-            errs.append(f"{path}{key}: unknown key")
-
-
-_SHAPE_KEYS = {
-    "sphere": {"kind", "r0"},
-    "offset_sphere": {"kind", "r0", "a"},
-    "perturbed_sphere": {"kind", "r0", "eps", "l", "order"},
+#: every numeric config key by path: (integer, lower bound, whether the lower bound
+#: is strict, upper bound); 342 is the largest n whose sphere_area(n) is finite
+_NUMERIC = {
+    "n": (True, 2, False, 342),
+    "J": (True, 16, False, None),
+    "m": (True, 1, False, None),
+    "seed": (True, 0, False, None),
+    "threads": (True, 1, False, None),
+    "shape.r0": (False, 0.0, True, None),
+    "shape.a": (False, 0.0, False, None),
+    "shape.eps": (False, 0.0, False, None),
+    "shape.l": (True, 2, False, None),
+    "shape.order": (True, 0, False, None),
+    "flow.c_cfl": (False, 0.0, True, MAX_CFL),
+    "flow.tol_stop": (False, 0.0, False, None),
+    "flow.t_max": (False, 0.0, True, None),
 }
 
 
-def _parse_shape(obj, errs, path="shape.", require_eps=True) -> Optional[ShapeSpec]:
-    if not isinstance(obj, dict):
-        errs.append(f"{path[:-1]}: expected object, got {_typename(obj)}")
-        return None
-    kind = obj.get("kind")
-    if kind not in _SHAPE_KEYS:
-        errs.append(f"{path}kind: expected one of {sorted(_SHAPE_KEYS)}, got {kind!r}")
-        return None
-    _check_unknown(obj, _SHAPE_KEYS[kind], errs, path)
-    r0 = _get_num(obj, "r0", errs, path, lo_strict=0.0, required=True)
-    spec = ShapeSpec(kind=kind, r0=r0 if r0 is not None else 1.0)
-    if kind == "offset_sphere":
-        a = _get_num(obj, "a", errs, path, lo=0.0, required=True)
-        if a is not None:
-            spec.a = a
-            if r0 is not None and a >= r0:
-                errs.append(f"{path}a: must be < r0 ({r0:g}), got {a:g}")
-    elif kind == "perturbed_sphere":
-        eps = _get_num(obj, "eps", errs, path, lo=0.0, required=require_eps)
-        if eps is not None:
-            spec.eps = eps
-        l = _get_int(obj, "l", errs, path, lo=2, default=2)
-        if l is not None:
-            spec.l = l
-        order = _get_int(obj, "order", errs, path, lo=0, default=0)
-        if order > spec.l:
-            errs.append(f"{path}order: must be <= l ({spec.l}), got {order}")
+def _reader(obj: dict, allowed, errs: list, path: str = ""):
+    """Report each key of `obj` outside `allowed` and return `(get, got)`: `get(key)`
+    checks one numeric key against its `_NUMERIC` entry and returns its value, also
+    stored in `got`, or None when the key is absent or fails a check."""
+    errs.extend(f"{path}{key}: unknown key" for key in obj if key not in allowed)
+    got: dict = {}
+
+    def get(key, required=False):
+        if key not in obj:
+            if required:
+                errs.append(f"{path}{key}: required")
+            return None
+        integer, lo, strict, hi = _NUMERIC[path + key]
+        v, fmt = obj[key], "d" if integer else "g"
+        if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+            err = f"expected {'integer' if integer else 'number'}, got {type(v).__name__}"
+        elif not _finite(v):
+            err = "must be finite"
+        elif v <= lo if strict else v < lo:
+            err = f"must be {'>' if strict else '>='} {lo}, got {v:{fmt}}"
+        elif hi is not None and v > hi:
+            err = f"must be <= {hi}, got {v:{fmt}}"
         else:
-            spec.order = order
-    return spec
+            got[key] = v if integer else float(v)
+            return got[key]
+        errs.append(f"{path}{key}: {err}")
+        return None
+
+    return get, got
+
+
+_SHAPE_KEYS = {
+    "sphere": ("kind", "r0"),
+    "offset_sphere": ("kind", "r0", "a"),
+    "perturbed_sphere": ("kind", "r0", "eps", "l", "order"),
+}
 
 
 _COMMAND_KEYS = {
@@ -243,95 +206,84 @@ _COMMAND_KEYS = {
     "verify": {"seed"},
 }
 
+_FLOW_KEYS = ("c_cfl", "tol_stop", "t_max")
+
 
 def parse_config(raw: dict, command: str) -> ExperimentConfig:
     """Validate a config dict for a command; raises ConfigError listing every
     violation with its key path."""
     if command not in _COMMAND_KEYS:
         raise ConfigError([f"unknown command {command!r}"])
-    errs: list = []
     if not isinstance(raw, dict):
-        raise ConfigError([f"config root: expected object, got {_typename(raw)}"])
-    _check_unknown(raw, _COMMAND_KEYS[command], errs)
-    cfg = ExperimentConfig(command=command)
-
+        raise ConfigError([f"config root: expected object, got {type(raw).__name__}"])
+    errs: list = []
+    get, cfg = _reader(raw, _COMMAND_KEYS[command], errs)
     if command == "verify":
-        cfg.seed = _get_int(raw, "seed", errs, "", lo=0, default=0)
+        get("seed")
         if errs:
             raise ConfigError(errs)
-        return cfg
+        return ExperimentConfig(command, **cfg)
 
-    n = _get_int(raw, "n", errs, "", lo=2, required=True)
-    backend = raw.get("backend")
+    n = get("n", required=True)
+    backend = cfg["backend"] = raw.get("backend")
     if backend not in ("full", "axisym"):
         errs.append(f"backend: expected 'full' or 'axisym', got {backend!r}")
-        backend = None
-    J = _get_int(raw, "J", errs, "", lo=16, required=True)
-    if n is not None:
-        cfg.n = n
-    if backend is not None:
-        cfg.backend = backend
-        if backend == "full" and n is not None and n != 2:
-            errs.append(f"n: backend 'full' requires n=2, got {n}")
-        if backend == "full" and J is not None and J % 2 != 0:
-            errs.append(f"J: backend 'full' requires even J, got {J}")
-    if J is not None:
-        cfg.J = J
+    J = get("J", required=True)
+    if backend == "full" and n is not None and n != 2:
+        errs.append(f"n: backend 'full' requires n=2, got {n}")
+    if backend == "full" and J is not None and J % 2 != 0:
+        errs.append(f"J: backend 'full' requires even J, got {J}")
+    if command != "conformal":
+        m = get("m", required=command != "quermass")
+        if m is not None and n is not None and not 1 <= m <= n - 1:
+            errs.append(f"m: out of range 1..{n - 1}, got {m}")
 
-    if command in ("quermass", "flow", "sweep"):
-        default_m = 1 if command == "quermass" else None
-        m = _get_int(raw, "m", errs, "", lo=1, default=default_m,
-                     required=command != "quermass")
-        if m is not None:
-            cfg.m = m
-            if n is not None and not 1 <= m <= n - 1:
-                errs.append(f"m: out of range 1..{n - 1}, got {m}")
-
+    sh = raw.get("shape")
+    kind = sh.get("kind") if isinstance(sh, dict) else None
     if "shape" not in raw:
         errs.append("shape: required")
+    elif not isinstance(sh, dict):
+        errs.append(f"shape: expected object, got {type(sh).__name__}")
+    elif not isinstance(kind, str) or kind not in _SHAPE_KEYS:
+        errs.append(f"shape.kind: expected one of {sorted(_SHAPE_KEYS)}, got {kind!r}")
     else:
-        spec = _parse_shape(raw["shape"], errs, require_eps=command != "sweep")
-        if spec is not None:
-            cfg.shape = spec
-            if spec.order and backend == "axisym":
-                errs.append(f"shape.order: backend 'axisym' is zonal and requires "
-                            f"order 0, got {spec.order}")
-            if command == "sweep":
-                if spec.kind != "perturbed_sphere":
-                    errs.append("shape.kind: sweep requires 'perturbed_sphere'")
-                elif "eps" in raw["shape"]:
-                    errs.append("shape.eps: set per member by sweep.eps_list, remove it")
+        get_shape, shape = _reader(sh, _SHAPE_KEYS[kind], errs, "shape.")
+        for key in _SHAPE_KEYS[kind][1:]:
+            get_shape(key, required=key in ("r0", "a") or key == "eps" and command != "sweep")
+        if "a" in shape and "r0" in shape and shape["a"] >= shape["r0"]:
+            errs.append(f"shape.a: must be < r0 ({shape['r0']:g}), got {shape['a']:g}")
+        order, l = shape.get("order", 0), shape.get("l", ShapeSpec.l)
+        if order > l:
+            errs.append(f"shape.order: must be <= l ({l}), got {order}")
+        elif order and backend == "axisym":
+            errs.append(f"shape.order: backend 'axisym' is zonal and requires order 0, "
+                        f"got {order}")
+        if command == "sweep" and kind != "perturbed_sphere":
+            errs.append("shape.kind: sweep requires 'perturbed_sphere'")
+        elif command == "sweep" and "eps" in sh:
+            errs.append("shape.eps: set per member by sweep.eps_list, remove it")
 
     if command == "flow":
         fl = raw.get("flow", {})
         if not isinstance(fl, dict):
-            errs.append(f"flow: expected object, got {_typename(fl)}")
+            errs.append(f"flow: expected object, got {type(fl).__name__}")
         else:
-            _check_unknown(fl, {"c_cfl", "tol_stop", "t_max"}, errs, "flow.")
-            params = FlowParams()
-            v = _get_num(fl, "c_cfl", errs, "flow.", lo_strict=0.0, hi=MAX_CFL,
-                         default=params.c_cfl)
-            if v is not None:
-                params.c_cfl = v
-            v = _get_num(fl, "tol_stop", errs, "flow.", lo=0.0, default=params.tol_stop)
-            if v is not None:
-                params.tol_stop = v
-            v = _get_num(fl, "t_max", errs, "flow.", lo_strict=0.0, default=params.t_max)
-            if v is not None:
-                params.t_max = v
-            cfg.flow = params
+            get_flow, params = _reader(fl, _FLOW_KEYS, errs, "flow.")
+            for key in _FLOW_KEYS:
+                get_flow(key)
+            cfg["flow"] = FlowParams(**params)
 
     if command == "sweep":
         sw = raw.get("sweep")
         if not isinstance(sw, dict):
             errs.append("sweep: required object with key eps_list")
         else:
-            _check_unknown(sw, {"eps_list"}, errs, "sweep.")
+            _reader(sw, ("eps_list",), errs, "sweep.")
             lst = sw.get("eps_list")
             if not isinstance(lst, list) or not lst:
                 errs.append("sweep.eps_list: required nonempty list of numbers")
             else:
-                eps = []
+                eps = cfg["sweep_eps"] = []
                 for i, v in enumerate(lst):
                     if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
                         errs.append(f"sweep.eps_list[{i}]: expected number >= 0, got {v!r}")
@@ -339,14 +291,11 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
                         errs.append(f"sweep.eps_list[{i}]: must be finite")
                     else:
                         eps.append(float(v))
-                cfg.sweep_eps = eps
-        cfg.threads = _get_int(raw, "threads", errs, "", lo=1)
+        get("threads")
 
-    # a perturbed-sphere shape on the axisymmetric backend is fine; the
-    # full-sphere backend only exists for n=2, already enforced above
     if errs:
         raise ConfigError(errs)
-    return cfg
+    return ExperimentConfig(command, shape=ShapeSpec(kind, **shape), **cfg)
 
 
 def _g17(x: float) -> str:
@@ -534,7 +483,7 @@ def main(argv=None) -> int:
             return EXIT_IO
         return _COMMANDS[args.command](cfg, args.out, plot)
     except (ShapeRejectionError, DiscretizationError, ConeViolationError,
-            StepFailureError, InsufficientDataError) as exc:
+            StepFailureError, InsufficientDataError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -162,6 +162,10 @@ def geometry_fields(graph: RadialGraph, warp: Warp = HYPERBOLIC) -> GeometryFiel
     if not np.isfinite(fields.area_density).all():
         bad = np.argwhere(~np.isfinite(fields.area_density))
         raise DiscretizationError(f"non-finite area density at node index {bad[0].tolist()}")
+    # lam^n underflows to 0 for a tiny radius at large n; a zero measure is no surface
+    if fields.area_density.min() <= 0.0:
+        bad = np.argwhere(fields.area_density <= 0.0)
+        raise DiscretizationError(f"nonpositive area density at node index {bad[0].tolist()}")
     return fields
 
 

@@ -7,6 +7,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hypflow.cli as cli
 from hypflow.cli import (
@@ -56,6 +58,13 @@ class TestParseConfig:
         for frag in ("n:", "backend:", "J:", "m:", "shape.kind:", "bogus: unknown key"):
             assert frag in text
         assert len(exc.value.errors) >= 6
+        # 342 is the largest n whose unit-sphere area is a finite float
+        ok = {"n": 342, "m": 1, "backend": "axisym", "J": 16,
+              "shape": {"kind": "sphere", "r0": 1.0}}
+        assert parse_config(ok, "quermass").n == 342
+        with pytest.raises(ConfigError) as exc:
+            parse_config(dict(ok, n=343), "quermass")
+        assert exc.value.errors == ["n: must be <= 342, got 343"]
 
     def test_full_backend_constraints(self):
         with pytest.raises(ConfigError, match="requires n=2"):
@@ -114,17 +123,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"eps_list\[1\]"):
             parse_config(bad, "sweep")
         # Python's json reads NaN, Infinity and integers beyond float range;
-        # each is reported with its key path
+        # each is reported with its key path, integer keys included
         huge = "1" + "0" * 400
         bad = json.loads(json.dumps(SWEEP_CFG).replace(
             '"r0": 1.0', f'"r0": {huge}').replace("[0.05, 0.1, 0.2]",
                                                   f"[0.05, NaN, Infinity, {huge}]"))
+        bad.update(n=10 ** 400, J=10 ** 400, threads=10 ** 400)
+        bad["shape"].update(l=10 ** 400, order=10 ** 400)
         with pytest.raises(ConfigError) as exc:
             parse_config(bad, "sweep")
-        assert exc.value.errors == ["shape.r0: must be finite",
+        assert exc.value.errors == ["n: must be finite",
+                                    "J: must be finite",
+                                    "shape.r0: must be finite",
+                                    "shape.l: must be finite",
+                                    "shape.order: must be finite",
                                     "sweep.eps_list[1]: must be finite",
                                     "sweep.eps_list[2]: must be finite",
-                                    "sweep.eps_list[3]: must be finite"]
+                                    "sweep.eps_list[3]: must be finite",
+                                    "threads: must be finite"]
 
     def test_shape_key_sets_are_strict(self):
         with pytest.raises(ConfigError, match="shape.a: unknown key"):
@@ -137,6 +153,10 @@ class TestParseConfig:
             parse_config({"n": 2, "backend": "axisym", "J": 32, "m": 1,
                           "shape": {"kind": "offset_sphere", "r0": 1.0, "a": 1.5}},
                          "quermass")
+        # an unhashable kind is a config error, not a TypeError
+        with pytest.raises(ConfigError, match=r"shape\.kind: expected one of .*, got \[1\]"):
+            parse_config({"n": 2, "backend": "axisym", "J": 32, "m": 1,
+                          "shape": {"kind": [1], "r0": 1.0}}, "quermass")
 
     def test_shape_order(self):
         base = {"n": 2, "m": 1, "backend": "full", "J": 32,
@@ -165,6 +185,9 @@ class TestParseConfig:
         assert parse_config({}, "verify").seed == 0
         with pytest.raises(ConfigError):
             parse_config({"seed": -1}, "verify")
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"seed": 10 ** 400}, "verify")
+        assert exc.value.errors == ["seed: must be finite"]
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config({"n": 2}, "verify")
 
@@ -211,6 +234,29 @@ class TestMainQuermass:
             "numerical failure: non-finite warp factor at radius 800"]
         assert "W0 = " not in captured.out
         assert [str(w.message) for w in recwarn] == []
+
+    @pytest.mark.parametrize("command", ["quermass", "conformal"])
+    def test_underflowing_area_density_exits_numerical(self, tmp_path, capfd, recwarn,
+                                                       command):
+        # sinh(1e-9)^60 underflows to 0: a zero measure is refused in the geometry
+        cfg = {"n": 60, "backend": "axisym", "J": 16, "shape": {"kind": "sphere", "r0": 1e-9}}
+        if command == "quermass":
+            cfg["m"] = 1
+        code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        assert capfd.readouterr().err.splitlines() == [
+            "numerical failure: nonpositive area density at node index [0]"]
+        assert [str(w.message) for w in recwarn] == []
+
+    def test_arithmetic_error_exits_numerical(self, tmp_path, capfd):
+        # the degree-170 harmonic's normalisation takes factorial(171) as a float
+        cfg = write_config(tmp_path, {"n": 2, "m": 1, "backend": "full", "J": 16,
+                                      "shape": {"kind": "perturbed_sphere", "r0": 1.0,
+                                                "eps": 0.01, "l": 170, "order": 1}})
+        code = main(["quermass", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        assert capfd.readouterr().err.splitlines() == [
+            "numerical failure: int too large to convert to float"]
 
     def test_unresolved_offset_sphere_exits_numerical(self, tmp_path, capsys):
         # a geodesic sphere of radius 1 has margin coth 1 - 1 ~ 0.313; at J=16
@@ -348,6 +394,38 @@ class TestMainConformal:
         assert res < 1e-4
         margin = float(report[3].split(" = ")[1])
         assert margin > -1e-8
+
+
+@st.composite
+def geometry_configs(draw):
+    """(command, config) for quermass and conformal on both backends; n and l
+    reach past the float range of sphere areas and factorials, r0 into underflow."""
+    command = draw(st.sampled_from(["quermass", "conformal"]))
+    backend = draw(st.sampled_from(["full", "axisym"]))
+    n = 2 if backend == "full" else draw(st.integers(2, 400))
+    r0 = 10.0 ** draw(st.floats(-12, 3))
+    shape = {"kind": draw(st.sampled_from(["sphere", "offset_sphere", "perturbed_sphere"])),
+             "r0": r0}
+    if shape["kind"] == "offset_sphere":
+        shape["a"] = draw(st.floats(0, 0.9)) * r0
+    elif shape["kind"] == "perturbed_sphere":
+        shape.update(eps=draw(st.floats(0, 0.2)) * r0, l=draw(st.integers(2, 200)),
+                     order=draw(st.integers(0, 3)))
+    cfg = {"n": n, "backend": backend, "J": draw(st.sampled_from([16, 24])), "shape": shape}
+    if command == "quermass":
+        cfg["m"] = draw(st.integers(1, n - 1))
+    return command, cfg
+
+
+class TestMainFuzz:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=geometry_configs())
+    def test_exit_codes(self, tmp_path, case):
+        command, cfg = case
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) in (
+            EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
 
 
 class TestMainPlumbing:
