@@ -353,7 +353,8 @@ def cmd_flow(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
     print(f"stop_reason = {trace.stop_reason}  steps = {steps}  t_end = {_g17(final.t)}")
     print(f"W{cfg.m} drift = {_g17(abs(final.W[cfg.m] - state.W_init[cfg.m]))}")
     print(f"W{cfg.m + 1} drop = {_g17(state.W_init[cfg.m + 1] - final.W[cfg.m + 1])}")
-    print(f"monitor_flags = {trace.flag_count}  rejections = {trace.rejections}")
+    print(f"monitor_flags = {trace.flag_count}  rejections = {trace.rejections}  "
+          f"rhs_evals = {trace.rhs_evals}")
     fit = sphere_fit(final.graph)
     print(f"terminal_fit radius = {_g17(fit.radius)}  gap = {_g17(fit.cheb)}  "
           f"center_offset = {_g17(fit.center_norm())}")

@@ -6,13 +6,21 @@ spheres are stationary, the m-th quermassintegral is conserved, and W_{m+1}
 decays; the integrator enforces the decay and h-convexity per step (halving
 dt on violation) and a monitor set tracks every a priori bound along the run.
 
-Stepping is classical 4-stage Runge-Kutta under a parabolic CFL limit. On
-the latitude-longitude backend the polar cells carry a zonal Fourier cutoff
-k_cut(theta) ~ sin(theta)/dtheta, applied to every stage state: modes finer
-than the cutoff on a polar ring are unresolvable there at the global time
-step (the azimuthal mesh width collapses like sin theta) and would otherwise
-blow up from rounding-level seeds. All shapes produced by the generators
-live below the cutoff, so the filter is exact on resolved data.
+Stepping is damped second-order Runge-Kutta-Chebyshev (RKC2; Sommeijer,
+Shampine & Verwer, J. Comput. Appl. Math. 88, 1998). Its real stability
+interval beta(s) grows like s^2 with the stage count s, so run proposes
+3.52 times the parabolic CFL step that suits classical 4-stage Runge-Kutta,
+and each attempt spends the fewest stages that keep its dt the same fraction
+of their stability limit. A step costs s geometry evaluations. After
+a step on which the discrete W_{m+1} rose, the next proposal is capped so the
+predicted rise stays below the acceptance bound, instead of halving after it.
+
+On the latitude-longitude backend the polar cells carry a zonal Fourier
+cutoff k_cut(theta) ~ sin(theta)/dtheta, applied to every stage state: modes
+finer than the cutoff on a polar ring are unresolvable there at the global
+time step (the azimuthal mesh width collapses like sin theta) and would
+otherwise blow up from rounding-level seeds. All shapes produced by the
+generators live below the cutoff, so the filter is exact on resolved data.
 """
 
 from __future__ import annotations
@@ -54,24 +62,33 @@ __all__ = [
 ]
 
 DEFAULT_CFL = 0.2
-# the polar mode filter keeps azimuthal k <= 2 on the worst ring, which
-# is only stable for RK4 when the CFL fraction stays below ~0.22
+# c_cfl is the fraction of the explicit stability limit a step uses. The
+# polar filter keeps azimuthal k <= 2/sqrt(c_cfl) on the worst ring; that
+# mode stays stable only while the fraction stays below ~0.22, whatever
+# the stage count, since the step and the stability interval scale together
 MAX_CFL = 0.22
 DEFAULT_TOL_STOP = 1e-6
 DEFAULT_T_MAX = 30.0
 MONO_TOL = 1e-10      # allowed relative W_{m+1} increase per accepted step
 MAX_HALVINGS = 20
 SPEED_STOP = 1e-10    # stationary once max |f| drops below this
+STAGES = 4            # most RKC stages per step; the step, and its O(dt^2) error,
+                      # grow like s^2 (6 or 8 break the 1e-6 W_m drift of short runs)
+_DAMPING = 2.0 / 13.0
+# real stability interval of classical RK4, the scale the CFL step is set on
+_BETA_RK4 = 2.785
 
 
 class StepFailureError(RuntimeError):
     """A step kept violating the acceptance conditions through all dt halvings."""
 
-    def __init__(self, message: str, t: float, dt: float, diagnostics: dict):
+    def __init__(self, message: str, t: float, dt: float, diagnostics: dict,
+                 rhs_evals: int = 0):
         super().__init__(message)
         self.t = t
         self.dt = dt
         self.diagnostics = diagnostics
+        self.rhs_evals = rhs_evals   # geometry evaluations the failed step spent
 
 
 def normal_speed(fields: GeometryFields, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,10 +103,6 @@ def _speed(fields: GeometryFields, F: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return f, f * fields.v
 
 
-def _graph_rate(graph: RadialGraph, m: int) -> np.ndarray:
-    return normal_speed(geometry_fields(graph), m)[1]
-
-
 @dataclass
 class FlowState:
     """One point on a flow trajectory plus the frozen initial-data records.
@@ -98,6 +111,8 @@ class FlowState:
     most once, on first use, and shared by the stepper, the stop tests and
     the trace row. Later states are made with dataclasses.replace, which
     carries m and the initial-data records over and starts those caches empty.
+    rhs_evals counts the geometry evaluations step spent to reach the state,
+    accumulated like t.
     """
 
     graph: RadialGraph
@@ -112,6 +127,7 @@ class FlowState:
     maxr_init: float
     rho_minus_init: float
     minu_init: float
+    rhs_evals: int = 0
 
     @classmethod
     def create(cls, graph: RadialGraph, m: int) -> "FlowState":
@@ -154,6 +170,7 @@ class FlowTrace:
     flags: list = field(default_factory=list)        # (t, monitor name)
     stop_reason: str = ""
     rejections: int = 0
+    rhs_evals: int = 0     # geometry evaluations while stepping, rejected attempts included
 
     def header(self) -> str:
         ws = ",".join(f"W{k}" for k in range(self.n + 1))
@@ -219,48 +236,97 @@ def _monitor_flags(state: FlowState, scalars: dict, n: int) -> list:
 
 def _stage_filter(grid, c_cfl: float):
     """Filter for every stage state: on the full grid the polar Fourier
-    cutoff 2/sqrt(c_cfl) that keeps RK4 stable at that CFL fraction; the
-    identity on the axisym grid."""
+    cutoff 2/sqrt(c_cfl) that keeps the step stable at that CFL fraction;
+    the identity on the axisym grid."""
     if grid.backend != "full":
         return lambda r: r
     c_pole = 2.0 / np.sqrt(c_cfl)
     return lambda r: grid.pole_filter(r, c_pole)
 
 
-def _advance(state: FlowState, dt: float, filt) -> FlowState:
-    """Classical RK4 update of the radii over dt from the state's own rate,
-    every stage state filtered, with the post-state's geometry and
-    quermassintegrals; no acceptance test."""
-    m, r0, k1 = state.m, state.graph.r, state.speed[1]
-    k2 = _graph_rate(state.graph.with_values(filt(r0 + 0.5 * dt * k1)), m)
-    k3 = _graph_rate(state.graph.with_values(filt(r0 + 0.5 * dt * k2)), m)
-    k4 = _graph_rate(state.graph.with_values(filt(r0 + dt * k3)), m)
-    graph = state.graph.with_values(filt(r0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
-    fields = geometry_fields(graph)
+@dataclass(frozen=True)
+class _RKCTable:
+    beta: float     # real stability interval
+    mu1: float      # Y1 = Y0 + mu1 dt F0
+    stages: tuple   # (mu_j, nu_j, mu~_j, gamma~_j) for j = 2..s
+
+
+def _rkc_table(s: int) -> _RKCTable:
+    """Damped RKC2 coefficients from the Chebyshev polynomials T_j at w0."""
+    w0 = 1.0 + _DAMPING / s ** 2
+    T, dT, ddT = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
+        dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
+        ddT.append(4.0 * dT[j - 1] + 2.0 * w0 * ddT[j - 1] - ddT[j - 2])
+    w1 = dT[s] / ddT[s]
+    b = [ddT[j] / dT[j] ** 2 if j >= 2 else 0.0 for j in range(s + 1)]
+    b[0] = b[1] = b[2]
+    stages = []
+    for j in range(2, s + 1):
+        mu_t = 2.0 * b[j] * w1 / b[j - 1]
+        stages.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2], mu_t,
+                       -(1.0 - b[j - 1] * T[j - 1]) * mu_t))
+    return _RKCTable(beta=(1.0 + w0) * ddT[s] / dT[s], mu1=b[1] * w1, stages=tuple(stages))
+
+
+_RKC = {s: _rkc_table(s) for s in range(2, STAGES + 1)}
+
+
+def _stages(state: FlowState, dt: float, c_cfl: float) -> int:
+    """Fewest stages s >= 2 whose stability interval takes dt at the CFL
+    fraction c_cfl, capped at STAGES."""
+    need = _BETA_RK4 * dt / cfl_dt(state, c_cfl)
+    return next((s for s in range(2, STAGES) if _RKC[s].beta >= need), STAGES)
+
+
+def _advance(state: FlowState, dt: float, filt, s: int, geometry) -> FlowState:
+    """Damped RKC2 update of the radii over dt in s stages from the state's
+    own rate, every stage state filtered, with the post-state's geometry and
+    quermassintegrals; no acceptance test. geometry evaluates the fields of
+    a graph (s calls per update)."""
+    m, graph, y0, f0 = state.m, state.graph, state.graph.r, state.speed[1]
+    table = _RKC[s]
+    prev, cur = y0, filt(y0 + table.mu1 * dt * f0)
+    for mu, nu, mu_t, gamma_t in table.stages:
+        f = normal_speed(geometry(graph.with_values(cur)), m)[1]
+        prev, cur = cur, filt((1.0 - mu - nu) * y0 + mu * cur + nu * prev
+                              + dt * (mu_t * f + gamma_t * f0))
+    graph = graph.with_values(cur)
+    fields = geometry(graph)
     return replace(state, graph=graph, t=state.t + dt, fields=fields,
                    W=quermassintegrals(graph, fields))
 
 
 def step(state: FlowState, dt: float, c_cfl: float):
-    """One accepted RK4 step; halves dt until the post-state is admissible.
+    """One accepted RKC step; halves dt until the post-state is admissible.
 
     c_cfl is the CFL fraction dt was chosen with; it sets the stage filter
-    (see _stage_filter).
+    (see _stage_filter) and, with dt, the stage count of each attempt.
 
-    Returns (new_state, dt_used, halvings). Acceptance requires finite
+    Returns (new_state, dt_used, halvings); new_state.rhs_evals adds the
+    geometry evaluations of every attempt. Acceptance requires finite
     geometry, min kappa >= 1 - 1e-8, and relative W_{m+1} increase below
-    1e-10; these mirror the flow's exact invariants, so a healthy step
-    passes at the CFL dt and rejection signals a resolution problem.
+    1e-10. These mirror the flow's exact invariants, so rejection signals a
+    step too long for the stability limit or for the discrete W_{m+1}, which
+    can rise slowly where the shape is nearly round.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     m = state.m
     filt = _stage_filter(state.graph.grid, c_cfl)
     state.speed  # a state outside the cone raises here, not as a step failure
+    evals = 0
+
+    def geometry(graph: RadialGraph) -> GeometryFields:
+        nonlocal evals
+        evals += 1
+        return geometry_fields(graph)
+
     last_err: dict = {}
     for halvings in range(MAX_HALVINGS + 1):
         try:
-            new_state = _advance(state, dt, filt)
+            new_state = _advance(state, dt, filt, _stages(state, dt, c_cfl), geometry)
         except (DiscretizationError, ConeViolationError, ValueError) as exc:
             last_err = {"error": str(exc)}
             dt *= 0.5
@@ -270,12 +336,13 @@ def step(state: FlowState, dt: float, c_cfl: float):
         w_prev = float(state.W[m + 1])
         mono_ok = w_next <= w_prev + MONO_TOL * abs(w_prev)
         if min_kappa >= 1.0 - HCONVEX_TOL and mono_ok:
+            new_state.rhs_evals = state.rhs_evals + evals
             return new_state, dt, halvings
         last_err = {"min_kappa": min_kappa, "W_next": w_next, "W_prev": w_prev}
         dt *= 0.5
     raise StepFailureError(
         f"step rejected through {MAX_HALVINGS} dt halvings at t={state.t:.6g}",
-        t=state.t, dt=dt, diagnostics=last_err,
+        t=state.t, dt=dt, diagnostics=last_err, rhs_evals=evals,
     )
 
 
@@ -295,9 +362,12 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
     n = state.graph.n
     if not 0.0 < c_cfl <= MAX_CFL:
         raise ValueError(f"c_cfl must lie in (0, {MAX_CFL}]")
-    trace = FlowTrace(n=n, m=state.m)
+    m = state.m
+    trace = FlowTrace(n=n, m=m)
+    evals0 = state.rhs_evals
+    dt_rise = np.inf   # longest dt the last W_{m+1} rise rate allows
     cum = 0.0
-    deficit_rate = _deficit_integrand_value(state.fields, state.m)
+    deficit_rate = _deficit_integrand_value(state.fields, m)
     row, scalars = _trace_row(state, 0.0, cum)
     trace.rows.append(row)
     trace.flags.extend((state.t, name) for name in _monitor_flags(state, scalars, n))
@@ -312,14 +382,20 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
         if state.t >= t_max:
             trace.stop_reason = "t_max"
             break
-        dt = min(cfl_dt(state, c_cfl), t_max - state.t)
+        dt = min(cfl_dt(state, c_cfl) * _RKC[STAGES].beta / _BETA_RK4, dt_rise,
+                 t_max - state.t)
+        w_prev = float(state.W[m + 1])
         try:
             state, dt_used, halvings = step(state, dt, c_cfl)
         except StepFailureError as exc:
+            trace.rhs_evals += exc.rhs_evals
             exc.partial_trace = trace
             raise
         trace.rejections += halvings
-        rate_new = _deficit_integrand_value(state.fields, state.m)
+        trace.rhs_evals = state.rhs_evals - evals0
+        rise = (float(state.W[m + 1]) - w_prev) / (abs(w_prev) * dt_used)
+        dt_rise = 0.9 * MONO_TOL / rise if rise > 0.0 else np.inf
+        rate_new = _deficit_integrand_value(state.fields, m)
         cum += 0.5 * dt_used * (deficit_rate + rate_new)
         deficit_rate = rate_new
         row, scalars = _trace_row(state, dt_used, cum)
@@ -335,11 +411,12 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
 
 
 def _probe_states(state: FlowState, h: float):
-    """The state and two forward RK4 probe steps of size h, stage-filtered
-    as at DEFAULT_CFL (no acceptance logic)."""
+    """The state and two forward probe steps of size h, with the stage count
+    and filter step would use at DEFAULT_CFL (no acceptance logic)."""
     filt = _stage_filter(state.graph.grid, DEFAULT_CFL)
-    s1 = _advance(state, h, filt)
-    return state, s1, _advance(s1, h, filt)
+    s = _stages(state, h, DEFAULT_CFL)
+    s1 = _advance(state, h, filt, s, geometry_fields)
+    return state, s1, _advance(s1, h, filt, s, geometry_fields)
 
 
 @dataclass

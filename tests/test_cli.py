@@ -297,9 +297,15 @@ class TestMainFlow:
         cfg = write_config(tmp_path, FLOW_CFG)
         assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         data = (tmp_path / "flow_trace.csv").read_bytes()
-        assert data.count(b"\n") == 23
+        assert data.count(b"\n") == 8
         assert hashlib.sha256(data).hexdigest() == (
-            "a021bda7d649e66dcda712d260bb72ade5c89e98acca008aa3f6d864bb488812")
+            "c802d7ed0e385676ae61a526d19a3abee6ccf29bb67b2abd7af785e60b3f1c6d")
+
+    def test_rhs_evals_reported(self, tmp_path, capsys):
+        # six accepted steps on four stages each, none rejected
+        cfg = write_config(tmp_path, FLOW_CFG)
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert "monitor_flags = 0  rejections = 0  rhs_evals = 24\n" in capsys.readouterr().out
 
     def test_byte_determinism(self, tmp_path):
         cfg = write_config(tmp_path, FLOW_CFG)

@@ -16,6 +16,7 @@ import hypflow.flow as flow
 from hypflow.flow import (
     DEFAULT_CFL,
     DEFAULT_T_MAX,
+    MAX_CFL,
     MONO_TOL,
     FlowState,
     FlowTrace,
@@ -170,12 +171,15 @@ class TestRunStopsAndTrace:
             trace.column("nope")
 
     def test_partial_trace_attached_on_failure(self, monkeypatch):
+        # a first step of dt = 10 on two stages leaves the radii non-finite
         monkeypatch.setattr(flow, "MAX_HALVINGS", 0)
         monkeypatch.setattr(flow, "cfl_dt", lambda state, c_cfl=DEFAULT_CFL: 1e3)
         st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
         with np.errstate(all="ignore"), pytest.raises(StepFailureError) as exc:
-            run(st, t_max=1.0)
+            run(st, t_max=10.0)
         assert len(exc.value.partial_trace.rows) == 1
+        # the failed attempt's one stage evaluation is counted
+        assert exc.value.partial_trace.rhs_evals == exc.value.rhs_evals == 1
 
 
 class TestShortRuns:
@@ -241,13 +245,67 @@ class TestStepSizePolicy:
     def test_step_with_cfl_fraction_matches_run(self):
         # step derives the polar cutoff from c_cfl exactly as run does
         st = make_state(FullSphereGrid(32), eps=0.05, l=2, order=2)
-        dt = cfl_dt(st, DEFAULT_CFL)
-        new, _, _ = step(st, dt, DEFAULT_CFL)
         final, trace = run(st, t_max=DEFAULT_T_MAX, c_cfl=DEFAULT_CFL, max_steps=1)
+        dt = trace.column("dt")[1]
+        new, _, _ = step(st, dt, DEFAULT_CFL)
         assert trace.stop_reason == "max_steps"
         assert np.array_equal(new.graph.r, final.graph.r)
         # and the cutoff acts: the looser cutoff of a smaller fraction lands elsewhere
         assert not np.array_equal(step(st, dt, 0.01)[0].graph.r, new.graph.r)
+
+    def test_rkc_is_second_order(self):
+        # the same interval at dt, dt/2 and dt/4 on the full stage count:
+        # the grid is fixed, so successive differences shrink by 2^2
+        st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
+        filt = flow._stage_filter(st.graph.grid, DEFAULT_CFL)
+        dt = 2.0 * cfl_dt(st)
+        ends = []
+        for k in (1, 2, 4):
+            s = st
+            for _ in range(4 * k):
+                s = flow._advance(s, dt / k, filt, flow.STAGES, geometry_fields)
+            ends.append(s.graph.r)
+        coarse = np.abs(ends[0] - ends[1]).max()
+        fine = np.abs(ends[1] - ends[2]).max()
+        assert 3.5 <= coarse / fine <= 4.5
+
+    def test_rhs_evals_count_every_geometry_call(self, monkeypatch):
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return geometry_fields(graph)
+
+        st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
+        monkeypatch.setattr(flow, "geometry_fields", counted)
+        _, trace = run(st, t_max=0.05)
+        assert trace.rhs_evals == len(calls) == 24
+        # rejected attempts count too
+        calls.clear()
+        with np.errstate(all="ignore"):
+            new, _, halvings = step(st, 50.0, DEFAULT_CFL)
+        assert halvings > 0
+        assert new.rhs_evals == len(calls)
+
+    def test_rise_predictor_avoids_halvings(self):
+        # the discrete W3 of this relaxation rises slowly near round; a step
+        # sized to that rise is accepted where a CFL-sized one is halved
+        st = make_state(AxisymGrid(24, 4), eps=0.05, l=2, m=2)
+        _, trace = run(st, t_max=DEFAULT_T_MAX)
+        assert trace.stop_reason == "traceless_small"
+        assert trace.rejections <= 10
+
+    def test_full_run_at_max_cfl_takes_no_halving(self):
+        # the longest step run proposes at the largest CFL fraction is stable
+        # under the polar filter and spends the full stage count every step
+        st = make_state(FullSphereGrid(48), eps=0.05, l=2, order=2)
+        _, trace = run(st, t_max=2.0, c_cfl=MAX_CFL)
+        steps = len(trace.rows) - 1
+        assert trace.stop_reason == "t_max"
+        assert trace.rejections == 0 and trace.flag_count == 0
+        # no rejected attempt; only the last step, cut at t_max, is shorter
+        assert flow.STAGES * (steps - 1) < trace.rhs_evals <= flow.STAGES * steps
+        assert steps <= 410
 
 
 class TestEvolutionIdentities:
