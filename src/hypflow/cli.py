@@ -13,7 +13,8 @@ Commands:
 Configs are strict: unknown keys are rejected and every violation is
 reported with its key path. Outputs are byte-deterministic for a fixed
 config and seed (17 significant digits, LF line endings, UTF-8); the sweep
-config's `threads` key sets the worker count and never changes the bytes.
+config's `threads` key sets the number of worker processes the sweep forks
+and never changes the bytes; sweeps need a platform with `fork`, such as Linux.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 verification
 failure, 5 I/O error.

@@ -402,6 +402,11 @@ def _offset_sphere_profile(theta: np.ndarray, r0: float, a: float) -> np.ndarray
     """Distance-from-origin profile of the geodesic sphere of radius r0 whose
     center sits at distance a along the axis; safeguarded Newton on the
     hyperbolic law of cosines cosh(r0) = cosh(a)cosh(p) - sinh(a)sinh(p)cos(theta)."""
+    # with 0 <= a and p <= r0 + a, no Newton term exceeds cosh(a + p) <= cosh(r0 + 2a)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.cosh(r0 + 2.0 * a)):
+            raise DiscretizationError(f"offset sphere overflows: cosh({r0 + 2.0 * a:.17g}) "
+                                      "is not finite")
     ca, sa = np.cosh(a), np.sinh(a)
     ct = np.cos(theta)
     target = np.cosh(r0)

@@ -14,8 +14,8 @@ links the time-accumulated flow dissipation to the initial deficit.
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -198,17 +198,40 @@ def _sweep_one(family: Callable[[float], RadialGraph], m: int, eps: float):
     return ("ok", eps, rec)
 
 
+#: (family, m) of the sweep a worker process serves; only _init_member sets
+#: it, in the worker, so the parent's copy stays None
+_member: Optional[tuple] = None
+
+
+def _init_member(family: Callable[[float], RadialGraph], m: int) -> None:
+    global _member
+    _member = (family, m)
+
+
+def _run_member(eps: float):
+    family, m = _member
+    return _sweep_one(family, m, eps)
+
+
 def stability_sweep(family: Callable[[float], RadialGraph], m: int,
                     eps_list: Sequence[float], *, n: int,
                     workers: Optional[int] = None) -> SweepResult:
     """Static sweep over perturbation amplitudes of shapes in H^{n+1};
-    members run concurrently on `workers` threads (see sweep_worker_count)
-    and results come back sorted by eps."""
+    members run in `workers` processes (see sweep_worker_count) and results
+    come back sorted by eps. The processes are forked, which needs a platform
+    with `fork` such as Linux, and inherit `family` and `m`, so `family` may
+    be a closure. Only eps values and member outcomes are pickled, and a
+    member's error is raised here with its type and message."""
     eps_sorted = sorted(float(e) for e in eps_list)
     if not eps_sorted:
         raise ValueError("eps_list must be nonempty")
-    with ThreadPoolExecutor(max_workers=sweep_worker_count(len(eps_sorted), workers)) as pool:
-        outcomes = list(pool.map(lambda e: _sweep_one(family, m, e), eps_sorted))
+    # imported here, not at module level, to keep multiprocessing off `import hypflow`
+    from multiprocessing import get_context
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=sweep_worker_count(len(eps_sorted), workers),
+            mp_context=get_context("fork"), initializer=_init_member,
+            initargs=(family, m)) as pool:
+        outcomes = list(pool.map(_run_member, eps_sorted))
     records, rejections = [], []
     for status, eps, payload in outcomes:
         if status == "ok":

@@ -21,6 +21,7 @@ from hypflow.cli import (
     parse_config,
 )
 from hypflow.flow import FlowTrace, StepFailureError
+from hypflow.hypersurface import DiscretizationError
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -235,6 +236,18 @@ class TestMainQuermass:
         assert "W0 = " not in captured.out
         assert [str(w.message) for w in recwarn] == []
 
+    def test_offset_sphere_overflow_exits_numerical(self, tmp_path, capfd, recwarn):
+        # cosh(801) overflows: refused before the profile's Newton solve
+        cfg = write_config(tmp_path, {"n": 2, "m": 1, "backend": "axisym", "J": 16,
+                                      "shape": {"kind": "offset_sphere", "r0": 800, "a": 0.5}})
+        code = main(["quermass", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        captured = capfd.readouterr()
+        assert captured.err.splitlines() == [
+            "numerical failure: offset sphere overflows: cosh(801) is not finite"]
+        assert "W0 = " not in captured.out
+        assert [str(w.message) for w in recwarn] == []
+
     @pytest.mark.parametrize("command", ["quermass", "conformal"])
     def test_underflowing_area_density_exits_numerical(self, tmp_path, capfd, recwarn,
                                                        command):
@@ -362,6 +375,20 @@ class TestMainSweep:
             assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
             blobs.append((out / "sweep.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_member_failure_exits_numerical(self, tmp_path, capfd, monkeypatch):
+        # the member fails in a worker process; its typed error reaches main
+        real = cli.generate_shape
+
+        def failing(grid, kind, **kw):
+            if kw["eps"] == 0.1:
+                raise DiscretizationError("synthetic failure at eps 0.1")
+            return real(grid, kind, **kw)
+        monkeypatch.setattr(cli, "generate_shape", failing)
+        cfg = write_config(tmp_path, dict(SWEEP_CFG, threads=2))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert capfd.readouterr().err.splitlines() == [
+            "numerical failure: synthetic failure at eps 0.1"]
 
     def test_nonzonal_order_golden_hash(self, tmp_path):
         cfg = write_config(tmp_path, {

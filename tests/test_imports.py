@@ -6,6 +6,9 @@ so is any name a module lists in `__all__`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +49,15 @@ def test_no_unused_imports():
     unused = [hit for path in SOURCES if path.name != "__init__.py"
               for hit in unused_imports(path)]
     assert unused == []
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the sweep loads its process pool on first use, so importing hypflow
+    # pays nothing for it
+    code = "import sys, hypflow; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 PACKAGE = ROOT / "src" / "hypflow"

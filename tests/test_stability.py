@@ -7,13 +7,15 @@ data for the exponent fit, and the closed-form relation between the flow's
 accumulated dissipation and the initial deficit.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 import hypflow.stability as stability
 from hypflow.flow import FlowState, run
 from hypflow.grids import AxisymGrid, FullSphereGrid
-from hypflow.hypersurface import generate_shape, inradius
+from hypflow.hypersurface import DiscretizationError, generate_shape, inradius
 from hypflow.stability import (
     InsufficientDataError,
     SweepRecord,
@@ -141,9 +143,10 @@ class TestSweep:
             calls.append(graph)
             return inradius(graph)
         monkeypatch.setattr(stability, "inradius", counted)
-        res = stability_sweep(perturbed_family(AxisymGrid(32, 2)), 1,
-                              [0.0, 0.05, 0.1, 0.8], n=2, workers=1)
-        assert len(res.records) == 3 and len(res.rejections) == 1
+        # in-process: a call made in a sweep's worker process never reaches `calls`
+        fam = perturbed_family(AxisymGrid(32, 2))
+        statuses = [stability._sweep_one(fam, 1, eps)[0] for eps in [0.0, 0.05, 0.1, 0.8]]
+        assert statuses == ["ok", "ok", "ok", "rejected"]
         assert len(calls) == 3
 
     def test_clamp_window_rejection(self, monkeypatch):
@@ -155,11 +158,27 @@ class TestSweep:
             perturbed_family(AxisymGrid(32, 2)), 1, 0.05)
         assert status == "rejected" and "clamp" in payload
 
-    def test_thread_invariance(self):
+    def test_worker_invariance(self):
         fam = perturbed_family(AxisymGrid(48, 2))
-        res1 = stability_sweep(fam, 1, [0.05, 0.1, 0.2], n=2, workers=1)
-        res4 = stability_sweep(fam, 1, [0.05, 0.1, 0.2], n=2, workers=4)
-        assert list(res1.csv_lines()) == list(res4.csv_lines())
+        lines = [list(stability_sweep(fam, 1, [0.05, 0.1, 0.2, 0.0], n=2,
+                                      workers=workers).csv_lines())
+                 for workers in (1, 2, 4)]
+        assert lines[0] == lines[1] == lines[2]
+        assert multiprocessing.active_children() == []
+
+    def test_member_error_keeps_type_and_message(self):
+        # a member's error is pickled back from its worker process
+        base = perturbed_family(AxisymGrid(32, 2))
+
+        def family(eps):
+            if eps == 0.1:
+                raise DiscretizationError("synthetic failure at eps 0.1")
+            return base(eps)
+        with pytest.raises(DiscretizationError) as exc:
+            stability_sweep(family, 1, [0.05, 0.1, 0.2], n=2, workers=2)
+        assert type(exc.value) is DiscretizationError
+        assert str(exc.value) == "synthetic failure at eps 0.1"
+        assert multiprocessing.active_children() == []
 
     def test_worker_count_resolution(self, monkeypatch):
         # the environment has no say: the configured value wins
