@@ -198,8 +198,7 @@ def check_deficit_fuzz(seed: int = 0) -> CheckResult:
         r0 = float(rng.uniform(0.5, 2.0))
         a = float(rng.uniform(0.0, 0.4)) * (i % 2)
         grid = AxisymGrid(_J, n=2 + i % 3)
-        graph = (generate_shape(grid, "offset_sphere", r0=r0, a=min(a, 0.9 * r0))
-                 if a > 0 else generate_shape(grid, "sphere", r0=r0))
+        graph = generate_shape(grid, "offset_sphere", r0=r0, a=min(a, 0.9 * r0))
         m = int(rng.integers(1, graph.n))
         worst_sphere = max(worst_sphere, abs(deficit(graph, m).raw))
     ok = worst_rel >= -1e-6 and worst_sphere <= 1e-6

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .conformal import area_identity_check, conf_relation_residual, image_convexity_margin, to_ball
@@ -43,6 +43,7 @@ from .flow import (
 )
 from .grids import AxisymGrid, FullSphereGrid
 from .hypersurface import (
+    SHAPE_KINDS,
     DiscretizationError,
     RadialGraph,
     ShapeRejectionError,
@@ -85,23 +86,14 @@ class ConfigError(Exception):
 class ShapeSpec:
     kind: str
     r0: float
-    a: float = 0.0
-    eps: float = 0.0
-    l: int = 2
-    order: int = 0
+    params: dict   # the kind's keys in table order, defaults filled in
 
-    def build(self, grid) -> RadialGraph:
-        # generate_shape reads only the keywords of its kind
-        return generate_shape(grid, self.kind, r0=self.r0, a=self.a, eps=self.eps,
-                              l=self.l, order=self.order)
+    def build(self, grid, **keys) -> RadialGraph:
+        return generate_shape(grid, self.kind, r0=self.r0, **{**self.params, **keys})
 
     def label(self) -> str:
-        if self.kind == "sphere":
-            return f"sphere(r0={self.r0:g})"
-        if self.kind == "offset_sphere":
-            return f"offset_sphere(r0={self.r0:g}, a={self.a:g})"
-        return (f"perturbed_sphere(r0={self.r0:g}, eps={self.eps:g}, l={self.l}, "
-                f"order={self.order})")
+        keys = ", ".join(f"{key}={v:g}" for key, v in {"r0": self.r0, **self.params}.items())
+        return f"{self.kind}({keys})"
 
 
 @dataclass
@@ -129,9 +121,6 @@ class ExperimentConfig:
             return FullSphereGrid(self.J)
         return AxisymGrid(self.J, n=self.n)
 
-    def build_shape(self) -> RadialGraph:
-        return self.shape.build(self.build_grid())
-
 
 def _finite(v) -> bool:
     """Whether a JSON number is a finite float: Python's json also reads
@@ -153,7 +142,7 @@ _NUMERIC = {
     "shape.r0": (False, 0.0, True, None),
     "shape.a": (False, 0.0, False, None),
     "shape.eps": (False, 0.0, False, None),
-    "shape.l": (True, 2, False, None),
+    "shape.l": (True, 2, False, 1000),
     "shape.order": (True, 0, False, None),
     "flow.c_cfl": (False, 0.0, True, MAX_CFL),
     "flow.tol_stop": (False, 0.0, False, None),
@@ -190,13 +179,6 @@ def _reader(obj: dict, allowed, errs: list, path: str = ""):
         return None
 
     return get, got
-
-
-_SHAPE_KEYS = {
-    "sphere": ("kind", "r0"),
-    "offset_sphere": ("kind", "r0", "a"),
-    "perturbed_sphere": ("kind", "r0", "eps", "l", "order"),
-}
 
 
 _COMMAND_KEYS = {
@@ -245,24 +227,24 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
         errs.append("shape: required")
     elif not isinstance(sh, dict):
         errs.append(f"shape: expected object, got {type(sh).__name__}")
-    elif not isinstance(kind, str) or kind not in _SHAPE_KEYS:
-        errs.append(f"shape.kind: expected one of {sorted(_SHAPE_KEYS)}, got {kind!r}")
+    elif not isinstance(kind, str) or kind not in SHAPE_KINDS:
+        errs.append(f"shape.kind: expected one of {sorted(SHAPE_KINDS)}, got {kind!r}")
     else:
-        get_shape, shape = _reader(sh, _SHAPE_KEYS[kind], errs, "shape.")
-        for key in _SHAPE_KEYS[kind][1:]:
-            get_shape(key, required=key in ("r0", "a") or key == "eps" and command != "sweep")
-        if "a" in shape and "r0" in shape and shape["a"] >= shape["r0"]:
-            errs.append(f"shape.a: must be < r0 ({shape['r0']:g}), got {shape['a']:g}")
-        order, l = shape.get("order", 0), shape.get("l", ShapeSpec.l)
-        if order > l:
-            errs.append(f"shape.order: must be <= l ({l}), got {order}")
-        elif order and backend == "axisym":
-            errs.append(f"shape.order: backend 'axisym' is zonal and requires order 0, "
-                        f"got {order}")
-        if command == "sweep" and kind != "perturbed_sphere":
-            errs.append("shape.kind: sweep requires 'perturbed_sphere'")
-        elif command == "sweep" and "eps" in sh:
-            errs.append("shape.eps: set per member by sweep.eps_list, remove it")
+        row = SHAPE_KINDS[kind]
+        # a sweep sets the amplitude per member, so the config must not
+        amp = row.amplitude if command == "sweep" else None
+        keys = {"r0": None, **row.keys}
+        get_shape, shape = _reader(sh, ("kind", *keys), errs, "shape.")
+        for key, default in keys.items():
+            get_shape(key, required=default is None and key != amp)
+        errs.extend(row.rule(backend, **{**keys, **shape}))
+        if command == "sweep" and amp is None:
+            swept = " or ".join(repr(k) for k, other in SHAPE_KINDS.items() if other.amplitude)
+            errs.append(f"shape.kind: sweep requires {swept}")
+        elif command == "sweep" and amp in sh:
+            errs.append(f"shape.{amp}: set per member by sweep.eps_list, remove it")
+        cfg["shape"] = ShapeSpec(kind, shape.get("r0"), {
+            key: shape.get(key, default) for key, default in row.keys.items() if key != amp})
 
     if command == "flow":
         fl = raw.get("flow", {})
@@ -296,7 +278,7 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
 
     if errs:
         raise ConfigError(errs)
-    return ExperimentConfig(command, shape=ShapeSpec(kind, **shape), **cfg)
+    return ExperimentConfig(command, **cfg)
 
 
 def _g17(x: float) -> str:
@@ -319,7 +301,7 @@ def _emit_csv(path: str, lines, failed: Optional[str] = None):
 
 
 def cmd_quermass(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
-    graph = cfg.build_shape()
+    graph = cfg.shape.build(cfg.build_grid())
     fields = geometry_fields(graph)
     W = quermassintegrals(graph, fields)
     d = deficit(graph, cfg.m, fields)
@@ -335,7 +317,7 @@ def cmd_quermass(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
 
 
 def cmd_flow(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
-    graph = cfg.build_shape()
+    graph = cfg.shape.build(cfg.build_grid())
     state = FlowState.create(graph, cfg.m)
     csv_path = os.path.join(out_dir, "flow_trace.csv")
     try:
@@ -371,14 +353,16 @@ def cmd_flow(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
     spec, grid = cfg.shape, cfg.build_grid()
+    amplitude = SHAPE_KINDS[spec.kind].amplitude
 
     def family(eps: float) -> RadialGraph:
-        return replace(spec, eps=eps).build(grid)
+        return spec.build(grid, **{amplitude: eps})
 
     result = stability_sweep(family, cfg.m, cfg.sweep_eps, n=cfg.n, workers=cfg.threads)
     csv_path = os.path.join(out_dir, "sweep.csv")
     _emit_csv(csv_path, result.csv_lines())
-    print(f"sweep: n={cfg.n} m={cfg.m} l={spec.l} order={spec.order} J={cfg.J} "
+    keys = " ".join(f"{key}={v:g}" for key, v in spec.params.items())
+    print(f"sweep: n={cfg.n} m={cfg.m} {keys} J={cfg.J} "
           f"backend={cfg.backend} members={len(result.records)} "
           f"rejected={len(result.rejections)}")
     for eps, reason in result.rejections:
@@ -398,7 +382,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
 
 
 def cmd_conformal(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
-    graph = cfg.build_shape()
+    graph = cfg.shape.build(cfg.build_grid())
     fields = geometry_fields(graph)
     image = to_ball(graph)
     res_max, res_l2 = conf_relation_residual(fields, image)

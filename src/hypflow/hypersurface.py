@@ -18,8 +18,8 @@ curvature-integral recursion, geodesic-ball profiles, and the inball.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
-from typing import Callable, Optional
+from math import factorial, pi
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -43,6 +43,8 @@ __all__ = [
     "ball_profile",
     "ball_profile_inverse",
     "generate_shape",
+    "ShapeKind",
+    "SHAPE_KINDS",
     "random_hconvex_shape",
     "geodesic_distances",
     "distance_range",
@@ -369,22 +371,16 @@ def ball_profile_inverse(n: int, m: int, w: float) -> float:
 # shape generation
 
 
-def _axisym_harmonic(grid: AxisymGrid, l: int) -> np.ndarray:
-    """Legendre profile P_l(cos theta), scaled to unit L^2(S^n) norm."""
-    Jq = 2 * l + 2
-    wq = theta_weights(Jq, grid.n - 1) * sphere_area(grid.n - 1)
-    tq = (np.arange(Jq) + 0.5) * pi / Jq
-    norm2 = float(np.sum(eval_legendre(l, np.cos(tq)) ** 2 * wq))
-    return eval_legendre(l, grid.cos_t) / np.sqrt(norm2)
-
-
-def _full_harmonic(grid: FullSphereGrid, l: int, order: int = 0) -> np.ndarray:
-    """Real spherical harmonic of degree l and the given order, unit L^2(S^2).
-
-    The zonal default keeps the two backends' generators in exact agreement
-    for n = 2, so full-grid results can be cross-checked against the 1-D code.
-    """
-    from math import factorial
+def _harmonic(grid, l: int, order: int) -> np.ndarray:
+    """Unit-L^2(S^n) harmonic of degree l: P_l(cos theta) on the axisymmetric
+    grid, the real spherical harmonic of the given order on the full grid; at
+    order 0 the two agree exactly for n = 2, so the backends cross-check."""
+    if grid.backend == "axisym":
+        Jq = 2 * l + 2
+        wq = theta_weights(Jq, grid.n - 1) * sphere_area(grid.n - 1)
+        tq = (np.arange(Jq) + 0.5) * pi / Jq
+        norm2 = float(np.sum(eval_legendre(l, np.cos(tq)) ** 2 * wq))
+        return eval_legendre(l, grid.cos_t) / np.sqrt(norm2)
     if not 0 <= order <= l:
         raise ValueError("harmonic order must lie in [0, l]")
     if order == 0:
@@ -398,20 +394,22 @@ def _full_harmonic(grid: FullSphereGrid, l: int, order: int = 0) -> np.ndarray:
     return coef * lpmv(order, l, grid.cos_t) * ang[None, :]
 
 
-def _offset_sphere_profile(theta: np.ndarray, r0: float, a: float) -> np.ndarray:
-    """Distance-from-origin profile of the geodesic sphere of radius r0 whose
-    center sits at distance a along the axis; safeguarded Newton on the
+def _offset_sphere(grid, r0: float, a: float) -> RadialGraph:
+    """The geodesic sphere of radius r0 whose center sits at distance a along
+    the axis; its distance-from-origin profile by safeguarded Newton on the
     hyperbolic law of cosines cosh(r0) = cosh(a)cosh(p) - sinh(a)sinh(p)cos(theta)."""
-    # with 0 <= a and p <= r0 + a, no Newton term exceeds cosh(a + p) <= cosh(r0 + 2a)
+    if a < 0.0:
+        raise ValueError("offset needs a >= 0")
+    # with p <= r0 + a, no Newton term exceeds cosh(a + p) <= cosh(r0 + 2a)
     with np.errstate(over="ignore"):
         if not np.isfinite(np.cosh(r0 + 2.0 * a)):
             raise DiscretizationError(f"offset sphere overflows: cosh({r0 + 2.0 * a:.17g}) "
                                       "is not finite")
     ca, sa = np.cosh(a), np.sinh(a)
-    ct = np.cos(theta)
+    ct = np.cos(grid.theta)
     target = np.cosh(r0)
-    lo = np.full_like(ct, r0 - abs(a))
-    hi = np.full_like(ct, r0 + abs(a))
+    lo = np.full_like(ct, r0 - a)
+    hi = np.full_like(ct, r0 + a)
     p = r0 + a * ct  # first-order profile, already close
     for _ in range(100):
         g = ca * np.cosh(p) - sa * np.sinh(p) * ct - target
@@ -423,59 +421,77 @@ def _offset_sphere_profile(theta: np.ndarray, r0: float, a: float) -> np.ndarray
         grew = ca * np.cosh(p_new) - sa * np.sinh(p_new) * ct - target
         lo = np.where(grew < 0.0, p_new, lo)
         hi = np.where(grew >= 0.0, p_new, hi)
-        converged = np.max(np.abs(p_new - p)) <= 1e-13 * max(1.0, r0 + abs(a))
+        converged = np.max(np.abs(p_new - p)) <= 1e-13 * max(1.0, r0 + a)
         p = p_new
         if converged:
             break
-    return p
+    return RadialGraph(grid, np.repeat(p[:, None], 2 * grid.J, axis=1)
+                       if grid.backend == "full" else p)
 
 
-def generate_shape(grid, kind: str, r0: float, a: float = 0.0, eps: float = 0.0,
-                   l: int = 2, order: int = 0, hconvex_floor: float = 1.0) -> RadialGraph:
-    """Build one of the canonical initial hypersurfaces.
+def _perturbed_sphere(grid, r0: float, eps: float, l: int, order: int) -> RadialGraph:
+    if l < 2:
+        raise ValueError("perturbation mode l must be >= 2 (l <= 1 moves the center)")
+    r = r0 + eps * _harmonic(grid, l, order)
+    if np.any(r <= 0.0):
+        raise ShapeRejectionError("perturbation drives the radius nonpositive")
+    return RadialGraph(grid, r)
 
-    kinds: "sphere" (geodesic sphere about the origin), "offset_sphere"
-    (geodesic sphere with center displaced a < r0 along the polar axis),
-    "perturbed_sphere" (r = r0 + eps * Y with Y a unit-L^2 degree-l
-    harmonic, zonal unless an order is given). Offset and perturbed
-    spheres are rejected if a principal curvature on the grid drops below
-    hconvex_floor by more than HCONVEX_TOL, which on an offset sphere means
-    the grid does not resolve it.
-    """
+
+def _offset_rule(backend, r0, a) -> list:
+    bad = r0 is not None and a is not None and not a < r0
+    return [f"shape.a: must be < r0 ({r0:g}), got {a:g}"] if bad else []
+
+
+def _harmonic_rule(backend, l, order, **keys) -> list:
+    if order > l:
+        return [f"shape.order: must be <= l ({l}), got {order}"]
+    if order and backend == "axisym":
+        return [f"shape.order: backend 'axisym' is zonal and requires order 0, got {order}"]
+    return []
+
+
+class ShapeKind(NamedTuple):
+    """One shape kind; the config reader passes its rule None for a refused key."""
+
+    build: Callable[..., RadialGraph]   # (grid, r0, **keys) -> RadialGraph
+    keys: dict                          # key -> default, in config order; None: required
+    amplitude: Optional[str]            # the key a stability sweep sets per member
+    rule: Callable[..., list]           # (backend, r0=, **keys) -> messages
+    hconvex: bool                       # reject a graph below the h-convexity floor
+
+
+#: every shape kind by name; a new kind is one row
+SHAPE_KINDS = {
+    "sphere": ShapeKind(lambda grid, r0: RadialGraph(grid, np.full(grid.node_shape(), float(r0))),
+                        {}, None, lambda backend, **keys: [], False),
+    "offset_sphere": ShapeKind(_offset_sphere, {"a": None}, None, _offset_rule, True),
+    "perturbed_sphere": ShapeKind(_perturbed_sphere, {"eps": None, "l": 2, "order": 0},
+                                  "eps", _harmonic_rule, True),
+}
+
+
+def generate_shape(grid, kind: str, r0: float, hconvex_floor: float = 1.0,
+                   **params) -> RadialGraph:
+    """A shape of a kind in SHAPE_KINDS from r0 and the kind's keys, an omitted
+    key taking its default; ValueError with the rule's messages. A kind with
+    `hconvex` set is rejected if a principal curvature on the grid drops below
+    hconvex_floor by more than HCONVEX_TOL: on an offset sphere, unresolved."""
     if r0 <= 0.0:
         raise ValueError("r0 must be positive")
-    if kind == "sphere":
-        return RadialGraph(grid, np.full(grid.node_shape(), float(r0)))
-    if kind == "offset_sphere":
-        if not 0.0 <= a < r0:
-            raise ValueError("offset needs 0 <= a < r0 so the origin stays enclosed")
-        prof = _offset_sphere_profile(grid.theta, r0, a)
-        if grid.backend == "full":
-            prof = np.repeat(prof[:, None], 2 * grid.J, axis=1)
-        return _hconvex_or_reject(RadialGraph(grid, prof), hconvex_floor, "offset sphere")
-    if kind == "perturbed_sphere":
-        if l < 2:
-            raise ValueError("perturbation mode l must be >= 2 (l <= 1 moves the center)")
-        if grid.backend == "full":
-            Y = _full_harmonic(grid, l, order=order)
-        else:
-            if order != 0:
-                raise ValueError("axisymmetric perturbations are zonal (order 0)")
-            Y = _axisym_harmonic(grid, l)
-        r = r0 + eps * Y
-        if np.any(r <= 0.0):
-            raise ShapeRejectionError("perturbation drives the radius nonpositive")
-        return _hconvex_or_reject(RadialGraph(grid, r), hconvex_floor, "perturbed sphere")
-    raise ValueError(f"unknown shape kind {kind!r}")
-
-
-def _hconvex_or_reject(graph: RadialGraph, hconvex_floor: float, what: str) -> RadialGraph:
-    """The graph, unless a principal curvature drops below hconvex_floor by
-    more than HCONVEX_TOL (a round shape sits on the floor up to rounding)."""
-    margin = hconvexity_margin(geometry_fields(graph))
+    if kind not in SHAPE_KINDS:
+        raise ValueError(f"unknown shape kind {kind!r}")
+    shape = SHAPE_KINDS[kind]
+    params = {**{key: v for key, v in shape.keys.items() if v is not None}, **params}
+    errors = shape.rule(grid.backend, r0=r0, **params)
+    if errors:
+        raise ValueError("\n".join(errors))
+    graph = shape.build(grid, r0, **params)
+    # a round shape sits on the floor up to rounding
+    margin = hconvexity_margin(geometry_fields(graph)) if shape.hconvex else np.inf
     if margin < hconvex_floor - 1.0 - HCONVEX_TOL:
-        raise ShapeRejectionError(f"{what} not h-convex: min kappa = {1.0 + margin:.6f}",
-                                  margin=margin)
+        raise ShapeRejectionError(f"{kind.replace('_', ' ')} not h-convex: "
+                                  f"min kappa = {1.0 + margin:.6f}", margin=margin)
     return graph
 
 
@@ -488,11 +504,8 @@ def random_hconvex_shape(grid, rng: np.random.Generator) -> RadialGraph:
     r0 = min(float(rng.uniform(0.7, 1.5)), float(r0_cap))
     bump = np.zeros(grid.node_shape())
     for l in range(2, 5):
-        if grid.backend == "full":
-            for order in range(0, min(l, 2) + 1):
-                bump += rng.standard_normal() * _full_harmonic(grid, l, order=order)
-        else:
-            bump += rng.standard_normal() * _axisym_harmonic(grid, l)
+        for order in range(min(l, 2) + 1) if grid.backend == "full" else (0,):
+            bump += rng.standard_normal() * _harmonic(grid, l, order)
     amp = 0.1 * r0
     scale = amp / max(1e-30, float(np.max(np.abs(bump))))
     for _ in range(60):

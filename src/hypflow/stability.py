@@ -23,6 +23,7 @@ import numpy as np
 
 from .flow import FlowTrace
 from .hypersurface import (
+    DiscretizationError,
     InradiusResult,
     RadialGraph,
     ShapeRejectionError,
@@ -80,6 +81,8 @@ def deficit(graph: RadialGraph, m: int, fields=None) -> DeficitResult:
     if fields is None:
         fields = geometry_fields(graph)
     W = quermassintegrals(graph, fields)
+    if not W[m] > 0.0:  # positive on every body: the recursion lost its precision
+        raise DiscretizationError(f"nonpositive quermassintegral W_{m} = {W[m]:.17g}")
     r_hat = ball_profile_inverse(n, m, float(W[m]))
     raw = float(W[m + 1] - ball_profile(n, m + 1, r_hat))
     value = raw if raw > 0.0 else 0.0

@@ -21,7 +21,8 @@ from hypflow.cli import (
     parse_config,
 )
 from hypflow.flow import FlowTrace, StepFailureError
-from hypflow.hypersurface import DiscretizationError
+from hypflow.grids import AxisymGrid, FullSphereGrid
+from hypflow.hypersurface import DiscretizationError, generate_shape
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -163,9 +164,9 @@ class TestParseConfig:
         base = {"n": 2, "m": 1, "backend": "full", "J": 32,
                 "shape": {"kind": "perturbed_sphere", "r0": 1.0, "eps": 0.05, "l": 3,
                           "order": 2}}
-        assert parse_config(base, "flow").shape.order == 2
+        assert parse_config(base, "flow").shape.params["order"] == 2
         assert parse_config(dict(base, shape=dict(base["shape"], order=0)),
-                            "flow").shape.order == 0
+                            "flow").shape.params["order"] == 0
         with pytest.raises(ConfigError, match=r"shape\.order: must be <= l \(3\), got 4"):
             parse_config(dict(base, shape=dict(base["shape"], order=4)), "flow")
         with pytest.raises(ConfigError, match=r"shape\.order: must be >= 0"):
@@ -175,6 +176,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"shape\.order: unknown key"):
             parse_config(dict(base, shape={"kind": "sphere", "r0": 1.0, "order": 1}),
                          "flow")
+
+    @pytest.mark.parametrize("shape, label", [
+        ({"kind": "sphere", "r0": 1.0}, "sphere(r0=1)"),
+        ({"kind": "offset_sphere", "r0": 1.0, "a": 0.3}, "offset_sphere(r0=1, a=0.3)"),
+        ({"kind": "perturbed_sphere", "r0": 1.0, "eps": 0.05},
+         "perturbed_sphere(r0=1, eps=0.05, l=2, order=0)"),
+    ])
+    def test_shape_label(self, shape, label):
+        cfg = parse_config({"n": 2, "m": 1, "backend": "axisym", "J": 32, "shape": shape},
+                           "quermass")
+        assert cfg.shape.label() == label
+
+    @pytest.mark.parametrize("backend, shape", [
+        ("axisym", {"kind": "offset_sphere", "r0": 1.0, "a": 1.5}),
+        ("axisym", {"kind": "perturbed_sphere", "r0": 1.0, "eps": 0.05, "l": 3, "order": 2}),
+        ("full", {"kind": "perturbed_sphere", "r0": 1.0, "eps": 0.05, "l": 3, "order": 4}),
+    ])
+    def test_generator_reports_the_config_rule(self, backend, shape):
+        # one rule per kind: the generator raises the text the config reader reports
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"n": 2, "m": 1, "backend": backend, "J": 32, "shape": shape},
+                         "quermass")
+        grid = AxisymGrid(32, n=2) if backend == "axisym" else FullSphereGrid(32)
+        keys = {k: v for k, v in shape.items() if k != "kind"}
+        with pytest.raises(ValueError) as raised:
+            generate_shape(grid, shape["kind"], **keys)
+        assert exc.value.errors == [str(raised.value)]
 
     def test_conformal_has_no_order_key(self):
         with pytest.raises(ConfigError, match="m: unknown key"):
@@ -270,6 +298,26 @@ class TestMainQuermass:
         assert code == EXIT_NUMERICAL
         assert capfd.readouterr().err.splitlines() == [
             "numerical failure: int too large to convert to float"]
+
+    def test_huge_l_exits_config(self, tmp_path, capfd):
+        # before the bound, l = 100000 ran out of memory and l = 1e20 failed
+        # with a NumPy size message that named no key
+        for l in (100000, 10 ** 20):
+            cfg = write_config(tmp_path, {"n": 2, "m": 1, "backend": "axisym", "J": 16,
+                                          "shape": {"kind": "perturbed_sphere", "r0": 1.0,
+                                                    "eps": 0.01, "l": l}})
+            assert main(["quermass", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+            assert capfd.readouterr().err.splitlines() == [
+                f"config error: shape.l: must be <= 1000, got {l}"]
+
+    def test_nonpositive_quermassintegral_exits_numerical(self, tmp_path, capfd):
+        # the recursion cancels at n = 342: W_200 of this body comes out negative
+        cfg = write_config(tmp_path, {"n": 342, "m": 200, "backend": "axisym", "J": 16,
+                                      "shape": {"kind": "offset_sphere", "r0": 1.0, "a": 0.1}})
+        assert main(["quermass", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: nonpositive quermassintegral W_200 = ")
 
     def test_unresolved_offset_sphere_exits_numerical(self, tmp_path, capsys):
         # a geodesic sphere of radius 1 has margin coth 1 - 1 ~ 0.313; at J=16
@@ -399,6 +447,13 @@ class TestMainSweep:
         data = (tmp_path / "sweep.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
             "92b91a9fcd46c10c701fb4c073348194a09379f5a90776fceff6049959f437bb")
+
+    def test_summary_line(self, tmp_path, capsys):
+        cfg = str(Path(__file__).resolve().parent.parent / "scripts" / "configs"
+                  / "sweep_n2.json")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "sweep: n=2 m=1 l=2 order=0 J=96 backend=full members=5 rejected=0")
 
     def test_axisym_sweep_golden_hash(self, tmp_path):
         cfg = str(Path(__file__).resolve().parent.parent / "scripts" / "configs"

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypflow.hypersurface import SHAPE_KINDS
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "hypflow").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
@@ -203,3 +205,29 @@ def unset_defaults() -> list:
 
 def test_every_default_is_set_by_some_caller():
     assert unset_defaults() == []
+
+
+_EQUALITY = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+
+
+def kind_comparisons() -> list:
+    """Every comparison in the package whose operand is a shape kind name or
+    a literal collection holding one; a new kind must stay one table row."""
+
+    def names_kind(node):
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(e, ast.Constant) and e.value in SHAPE_KINDS for e in elts)
+
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Compare)
+                    and any(isinstance(op, _EQUALITY) for op in node.ops)
+                    and any(names_kind(e) for e in (node.left, *node.comparators))):
+                hits.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return hits
+
+
+def test_no_comparison_against_a_kind_name():
+    assert kind_comparisons() == []
