@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypersurface import EUCLIDEAN, GeometryFields, RadialGraph, geometry_fields, integrate
+from .hypersurface import (EUCLIDEAN, DiscretizationError, GeometryFields, RadialGraph,
+                           geometry_fields, integrate)
 
 __all__ = [
     "ConformalImage",
@@ -52,10 +53,14 @@ class ConformalImage:
 
 def to_ball(graph: RadialGraph) -> ConformalImage:
     s = radius_to_ball(graph.r)
+    gap = 4.0 - s * s
+    if not np.all(gap > 0.0):
+        raise DiscretizationError("conformal image reaches the ball's boundary: 2 tanh(r/2) "
+                                  f"rounds to 2 at r = {float(graph.r.max()):.17g}")
     image = RadialGraph(graph.grid, s)
     fields = geometry_fields(image, EUCLIDEAN)
-    exp_phi = 4.0 / (4.0 - s * s)
-    dphi_normal = 2.0 * s / ((4.0 - s * s) * fields.v)
+    exp_phi = 4.0 / gap
+    dphi_normal = 2.0 * s / (gap * fields.v)
     return ConformalImage(graph=image, fields=fields, exp_phi=exp_phi, dphi_normal=dphi_normal)
 
 

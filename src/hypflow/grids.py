@@ -70,22 +70,25 @@ def theta_weights(J: int, p: int) -> np.ndarray:
     return w
 
 
+def _shifts(padded: np.ndarray, axis: int) -> list[np.ndarray]:
+    """The five stencil views padded[k : k + len - 4] along axis, k = 0..4."""
+    m = padded.shape[axis] - 4
+    return [padded[(slice(None),) * axis + (slice(k, k + m),)] for k in range(5)]
+
+
 # 4th-order centered stencils; callers supply two ghost layers per side.
 # Written in difference-of-neighbor form so constant input gives exact zeros
 # (value-weighted sums leave ~1e-14 rounding residue that the 1/sin^2(theta)
 # factors at the polar rings would amplify by three orders of magnitude).
 def _d1(padded: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    f = np.moveaxis(padded, axis, 0)
-    out = (8.0 * (f[3:-1] - f[1:-3]) - (f[4:] - f[:-4])) / (12.0 * h)
-    return np.moveaxis(out, 0, axis)
+    f0, f1, _, f3, f4 = _shifts(padded, axis)
+    return (8.0 * (f3 - f1) - (f4 - f0)) / (12.0 * h)
 
 
 def _d2(padded: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    f = np.moveaxis(padded, axis, 0)
-    mid = f[2:-2]
-    out = (16.0 * ((f[1:-3] - mid) + (f[3:-1] - mid))
-           - ((f[:-4] - mid) + (f[4:] - mid))) / (12.0 * h * h)
-    return np.moveaxis(out, 0, axis)
+    f0, f1, mid, f3, f4 = _shifts(padded, axis)
+    return (16.0 * ((f1 - mid) + (f3 - mid))
+            - ((f0 - mid) + (f4 - mid))) / (12.0 * h * h)
 
 
 class FullSphereGrid:

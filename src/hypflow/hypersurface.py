@@ -18,7 +18,7 @@ curvature-integral recursion, geodesic-ball profiles, and the inball.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, pi
+from math import cosh, factorial, hypot, pi, sinh, sqrt
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -522,49 +522,53 @@ def random_hconvex_shape(grid, rng: np.random.Generator) -> RadialGraph:
 # distances, inball, convexity reporting
 
 
-def _distance_arg(grid, ch_r: np.ndarray, sh_r: np.ndarray, center):
-    """cosh d(c, x) at every node by the hyperbolic law of cosines, given
-    cosh r and sinh r; None for the full-grid origin, where d(c, x) = r."""
-    if grid.backend == "axisym":
-        aa = float(center)
-        return np.cosh(aa) * ch_r - np.sinh(aa) * sh_r * grid.cos_t
-    w = np.asarray(center, dtype=float)
-    rho = float(np.linalg.norm(w))
-    if rho < 1e-300:
-        return None
-    cosg = np.tensordot(grid.xyz, w / rho, axes=([-1], [0]))
-    return np.cosh(rho) * ch_r - np.sinh(rho) * sh_r * cosg
+def _node_matrix(grid, r: np.ndarray) -> np.ndarray:
+    """Hyperboloid-model rows [cosh r - 1, -sinh r * xhat] of the nodes, column-major;
+    xhat is the node's unit vector on the full grid (N x 4) and cos theta on the
+    axisym grid (N x 2). cosh r - 1 is formed as 2 sinh^2(r/2), so cosh d - 1 keeps
+    its digits where cosh d rounds to 1."""
+    xhat = np.reshape(grid.xyz if grid.backend == "full" else grid.cos_t, (r.size, -1))
+    A = np.empty((r.size, 1 + xhat.shape[1]), order="F")
+    A[:, 0] = 2.0 * np.sinh(0.5 * r.ravel()) ** 2
+    A[:, 1:] = -np.sinh(r.reshape(-1, 1)) * xhat
+    return A
+
+
+def _center_point(center) -> tuple[np.ndarray, float]:
+    """(C, cosh rho - 1), C = (cosh rho, sinh rho / rho * w) the hyperboloid point of
+    the center exp_0(w), rho = |w|: cosh d(c, x) - 1 = A @ C + cosh rho - 1."""
+    w = np.atleast_1d(np.asarray(center, dtype=float))
+    rho = sqrt(float(w @ w))
+    C = np.empty(1 + w.size)
+    C[0] = cosh(rho)
+    C[1:] = w * (sinh(rho) / rho) if rho > 0.0 else w
+    return C, 2.0 * sinh(0.5 * rho) ** 2
+
+
+def _arc(cosh_minus_one: np.ndarray) -> np.ndarray:
+    """d = 2 asinh(sqrt((cosh d - 1)/2)); a rounding below 0 reads 0."""
+    return 2.0 * np.arcsinh(np.sqrt(0.5 * np.maximum(cosh_minus_one, 0.0)))
 
 
 def geodesic_distances(grid, r: np.ndarray, center) -> np.ndarray:
     """Hyperbolic distance from an interior point to every node of the graph.
-
-    Axisym centers are signed positions on the symmetry axis; full-sphere
-    centers are vectors in the exponential chart at the origin, and the
-    zero vector returns a copy of r. A search over centers that needs only
-    the nearest and farthest node should use distance_range instead.
-    """
-    arg = _distance_arg(grid, np.cosh(r), np.sinh(r), center)
-    if arg is None:
-        return np.asarray(r, dtype=float).copy()
-    return np.arccosh(np.maximum(arg, 1.0))
+    Axisym centers are signed positions on the axis, full-grid centers vectors in
+    the exponential chart at the origin; a center search uses distance_range."""
+    C, s = _center_point(center)
+    return _arc(_node_matrix(grid, r) @ C + s).reshape(r.shape)
 
 
 def distance_range(grid, r: np.ndarray) -> Callable[[object], tuple[float, float]]:
-    """Evaluator c -> (min_x d(c, x), max_x d(c, x)) over the nodes of one graph.
-
-    Equal bit for bit to the min and max of geodesic_distances(grid, r, c):
-    cosh r and sinh r are formed once, and arccosh, being monotone, is
-    applied to the extremes of its argument only.
-    """
-    ch_r, sh_r = np.cosh(r), np.sinh(r)
-    r_range = (float(r.min()), float(r.max()))
+    """Evaluator c -> (min_x d(c, x), max_x d(c, x)) over the nodes of one graph,
+    equal bit for bit to the min and max of geodesic_distances(grid, r, c): one
+    matrix-vector product per center, then the shift by cosh rho - 1 and the map
+    to d, both monotone also in rounding, on the two extremes only."""
+    A = _node_matrix(grid, r)
 
     def extremes(center) -> tuple[float, float]:
-        arg = _distance_arg(grid, ch_r, sh_r, center)
-        if arg is None:
-            return r_range
-        lo, hi = np.arccosh(np.maximum([arg.min(), arg.max()], 1.0))
+        C, s = _center_point(center)
+        y = A @ C
+        lo, hi = _arc(np.array([y.min(), y.max()]) + s)
         return float(lo), float(hi)
 
     return extremes
@@ -587,15 +591,21 @@ def search_center(graph: RadialGraph, objective: Callable[[object], float], star
     grid by one bounded scalar search over the axis segment [-max r, max r],
     on the full grid by Nelder-Mead from every start. The lowest value wins
     and a tie goes to the earlier candidate, the starts in the order given
-    first; converged is true when any search reported success.
+    first; converged is true when any search reported success. A center
+    farther than max r from the origin lies outside the star-shaped body
+    and scores +inf.
     """
-    candidates = [(start, objective(start)) for start in starts]
+    span = float(graph.r.max())
+
+    def bounded(center):
+        return objective(center) if hypot(*np.ravel(center)) <= span else np.inf
+
+    candidates = [(start, bounded(start)) for start in starts]
     if graph.backend == "axisym":
-        span = float(graph.r.max())
-        results = [minimize_scalar(objective, bounds=(-span, span), method="bounded",
+        results = [minimize_scalar(bounded, bounds=(-span, span), method="bounded",
                                    options={"xatol": 1e-11})]
     else:
-        results = [minimize(objective, start, method="Nelder-Mead",
+        results = [minimize(bounded, start, method="Nelder-Mead",
                             options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
                    for start in starts]
     candidates += [(res.x, res.fun) for res in results]
@@ -609,7 +619,7 @@ def inradius(graph: RadialGraph) -> InradiusResult:
     Max-min search through search_center, from the origin and, on the full
     grid, a center-of-mass proxy; the objective is nonsmooth, so the full
     grid uses a simplex search. Trial centers are scored through
-    distance_range, which reduces before it takes arccosh.
+    distance_range, one matrix-vector product each.
     """
     grid, r = graph.grid, graph.r
     extremes = distance_range(grid, r)

@@ -240,6 +240,18 @@ class TestMainQuermass:
         assert "W2 = 5.8924344400224" in out
         assert "hconvexity_margin" in out and "inradius_rho" in out
 
+    def test_tiny_sphere_inradius(self, tmp_path, capfd):
+        # every trial center stays inside the body, where cosh cannot overflow
+        cfg = write_config(tmp_path, {"n": 2, "m": 1, "backend": "full", "J": 16,
+                                      "shape": {"kind": "sphere", "r0": 1e-4}})
+        assert main(["quermass", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        captured = capfd.readouterr()
+        assert captured.err == ""
+        rho = [line.split(" = ")[1] for line in captured.out.splitlines()
+               if line.startswith("inradius_rho = ")]
+        assert len(rho) == 1
+        assert float(rho[0]) == pytest.approx(1e-4, rel=1e-12)
+
     def test_nonfinite_quermassintegral_exits_numerical(self, tmp_path, capfd, recwarn):
         # sinh(30)^40 overflows: caught where it first appears, before NumPy warns
         cfg = write_config(tmp_path, {"n": 40, "m": 1, "backend": "axisym", "J": 16,
@@ -446,7 +458,7 @@ class TestMainSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         data = (tmp_path / "sweep.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
-            "92b91a9fcd46c10c701fb4c073348194a09379f5a90776fceff6049959f437bb")
+            "47ee7c56f586b81aaca1892d025108bcc6b09f61ac64ea0ae81a0542fdc26ea0")
 
     def test_summary_line(self, tmp_path, capsys):
         cfg = str(Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -461,7 +473,7 @@ class TestMainSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         data = (tmp_path / "sweep.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
-            "0bf0caf1019945f2da64fed843414268a6554f149453ef7cb9b00ad9138fc96c")
+            "d6ae6371ee4222c1078ca0f218c69203bf4c4a72d06326d177178017567e250e")
 
     def test_insufficient_points_still_succeeds(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(SWEEP_CFG, sweep={"eps_list": [0.05, 0.1]}))
@@ -482,6 +494,15 @@ class TestMainConformal:
         assert res < 1e-4
         margin = float(report[3].split(" = ")[1])
         assert margin > -1e-8
+
+    def test_image_on_the_boundary_exits_numerical(self, tmp_path, capfd):
+        # 2 tanh(50) rounds to 2, where e^phi = 4/(4 - s^2) divides by zero
+        cfg = write_config(tmp_path, {"n": 2, "backend": "full", "J": 16,
+                                      "shape": {"kind": "sphere", "r0": 100.0}})
+        assert main(["conformal", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert capfd.readouterr().err.splitlines() == [
+            "numerical failure: conformal image reaches the ball's boundary: "
+            "2 tanh(r/2) rounds to 2 at r = 100"]
 
 
 @st.composite

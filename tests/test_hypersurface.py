@@ -307,7 +307,7 @@ class TestDistancesAndInradius:
     @pytest.mark.parametrize("grid", [FullSphereGrid(32), AxisymGrid(48, 2), AxisymGrid(48, 4)],
                              ids=["full", "axisym_n2", "axisym_n4"])
     def test_distance_range_is_min_and_max_of_distances(self, grid):
-        # bit for bit, including the full-grid origin branch that returns r itself
+        # bit for bit, the origin and a center 1e-9 from it included
         g = generate_shape(grid, "perturbed_sphere", 1.0, eps=0.05, l=3)
         extremes = distance_range(grid, g.r)
         rng = np.random.default_rng(3)
@@ -319,6 +319,38 @@ class TestDistancesAndInradius:
         for c in centers:
             d = geodesic_distances(grid, g.r, c)
             assert extremes(c) == (float(d.min()), float(d.max()))
+
+    @pytest.mark.parametrize("grid", [FullSphereGrid(32), AxisymGrid(48, 2)],
+                             ids=["full", "axisym"])
+    def test_distances_match_law_of_cosines(self, grid):
+        # cosh d = cosh rho cosh r - sinh rho sinh r cos(angle between center and node)
+        g = generate_shape(grid, "perturbed_sphere", 1.0, eps=0.05, l=3)
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            if grid.backend == "full":
+                c = rng.normal(size=3)
+                c *= rng.uniform(0.0, 0.3) / np.linalg.norm(c)
+                rho = np.linalg.norm(c)
+                cos_angle = np.tensordot(grid.xyz, c / rho, axes=([-1], [0]))
+            else:
+                c = rng.uniform(-0.3, 0.3)
+                rho, cos_angle = abs(c), np.sign(c) * grid.cos_t
+            ref = np.arccosh(np.cosh(rho) * np.cosh(g.r) - np.sinh(rho) * np.sinh(g.r) * cos_angle)
+            d = geodesic_distances(grid, g.r, c)
+            assert d.shape == g.r.shape
+            assert np.abs(d - ref).max() <= 1e-13 * ref.min()
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(log_r0=st.floats(np.log(1e-9), np.log(8.0)),
+           grid=st.sampled_from([FullSphereGrid(16), AxisymGrid(32, 2), AxisymGrid(24, 4)]))
+    def test_inradius_of_sphere_about_origin(self, log_r0, grid):
+        # no trial center leaves the body, so nothing overflows, and cosh d - 1
+        # keeps its digits where cosh d rounds to 1
+        r0 = float(np.exp(log_r0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = inradius(generate_shape(grid, "sphere", r0))
+        assert abs(res.rho - r0) <= 1e-8
 
     @pytest.mark.parametrize("grid", [FullSphereGrid(16), AxisymGrid(16, 2)],
                              ids=["full", "axisym"])
