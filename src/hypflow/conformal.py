@@ -43,8 +43,8 @@ class ConformalImage:
 
     graph: RadialGraph            # values s in (0, 2)
     fields: GeometryFields        # computed with the Euclidean warp
-    exp_phi: np.ndarray           # e^phi = 4/(4 - s^2) >= 1
-    dphi_normal: np.ndarray       # dphi(nu_euc) = 2s / ((4 - s^2) v)
+    exp_phi: np.ndarray           # e^phi = 4/(4 - s^2) = cosh^2(r/2) >= 1
+    dphi_normal: np.ndarray       # dphi(nu_euc) = 2s / ((4 - s^2) v) = s cosh^2(r/2) / (2v)
 
     @property
     def s(self) -> np.ndarray:
@@ -53,14 +53,14 @@ class ConformalImage:
 
 def to_ball(graph: RadialGraph) -> ConformalImage:
     s = radius_to_ball(graph.r)
-    gap = 4.0 - s * s
-    if not np.all(gap > 0.0):
+    if not np.all(s < 2.0):
         raise DiscretizationError("conformal image reaches the ball's boundary: 2 tanh(r/2) "
                                   f"rounds to 2 at r = {float(graph.r.max()):.17g}")
     image = RadialGraph(graph.grid, s)
     fields = geometry_fields(image, EUCLIDEAN)
-    exp_phi = 4.0 / gap
-    dphi_normal = 2.0 * s / (gap * fields.v)
+    # in r, not through 4 - s^2, which cancels as s nears 2
+    exp_phi = np.cosh(0.5 * graph.r) ** 2
+    dphi_normal = 0.5 * s * exp_phi / fields.v
     return ConformalImage(graph=image, fields=fields, exp_phi=exp_phi, dphi_normal=dphi_normal)
 
 

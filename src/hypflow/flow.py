@@ -423,7 +423,6 @@ def _probe_states(state: FlowState, h: float):
 class VariationalReport:
     k_residuals: np.ndarray      # relative residual of d/dt W_k vs the integral formula
     minkowski_residual: float    # |int f E_m| / int |f| E_m  (exact zero in the continuum)
-    h_used: float
 
 
 def variational_check(state: FlowState) -> VariationalReport:
@@ -449,15 +448,12 @@ def variational_check(state: FlowState) -> VariationalReport:
             residuals[k] = abs(fd - formula) / max(scale, 1e-300)
         else:
             residuals[k] = abs(fd - formula) / max(abs(fd), abs(formula), 1e-300)
-    return VariationalReport(k_residuals=residuals, minkowski_residual=mink, h_used=h)
+    return VariationalReport(k_residuals=residuals, minkowski_residual=mink)
 
 
 @dataclass
 class FResidualReport:
     max_residual: float
-    l2_residual: float
-    field: np.ndarray
-    h_used: float
 
 
 def _surface_christoffel_full(fields: GeometryFields):
@@ -576,8 +572,4 @@ def pointwise_F_check(state: FlowState) -> FResidualReport:
     gauge = f * g.v * radial_dot_gradF
     advect = g.lam * radial_dot_gradF
     residual = dFdt_graph - gauge - diffusion - advect - rhs_alg - rhs_grad
-    l2 = float(np.sqrt(max(integrate(g, residual ** 2), 0.0)))
-    return FResidualReport(
-        max_residual=float(np.abs(residual).max()),
-        l2_residual=l2, field=residual, h_used=h,
-    )
+    return FResidualReport(max_residual=float(np.abs(residual).max()))

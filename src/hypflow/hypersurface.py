@@ -18,14 +18,14 @@ curvature-integral recursion, geodesic-ball profiles, and the inball.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cosh, factorial, hypot, pi, sinh, sqrt
+from math import cosh, exp, factorial, hypot, log, pi, sinh, sqrt
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
-from scipy.special import eval_legendre, lpmv
+from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.special import eval_gegenbauer, gammaln, lpmv
 
-from .grids import AxisymGrid, FullSphereGrid, sphere_area, theta_weights
+from .grids import AxisymGrid, FullSphereGrid, sphere_area
 from .symfunc import esym_all
 
 __all__ = [
@@ -325,46 +325,28 @@ def ball_profile(n: int, m: int, r: float) -> float:
     return float(W[m])
 
 
-def _ball_profile_slope(n: int, m: int, r: float) -> float:
-    # dW_m(B_r)/dr for unit normal speed
-    omega = sphere_area(n)
-    coth = np.cosh(r) / np.sinh(r)
-    return (n + 1 - m) / (n + 1) * coth ** m * omega * np.sinh(r) ** n
+_UNREACHABLE = "profile value must be positive (W_m -> 0 as r -> 0)"
 
 
 def ball_profile_inverse(n: int, m: int, w: float) -> float:
-    """Radius of the geodesic ball with W_m = w; bisection bracket, Newton polish."""
+    """Radius of the geodesic ball with W_m = w: Brent's method on a bracket
+    grown from r = 1, the upper end by doubling, the lower by halving."""
     if w <= 0.0:
-        raise ValueError("profile value must be positive (W_m -> 0 as r -> 0)")
-    lo, hi = 1e-9, 1.0
-    while ball_profile(n, m, hi) < w:
-        lo, hi = hi, hi * 2.0
+        raise ValueError(_UNREACHABLE)
+
+    def excess(r):
+        return ball_profile(n, m, r) - w
+
+    lo = hi = 1.0
+    while excess(hi) < 0.0:
+        hi *= 2.0
         if hi > 500.0:
             raise ValueError("profile value out of representable range")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ball_profile(n, m, mid) < w:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-3 * max(1.0, hi):
-            break
-    r = 0.5 * (lo + hi)
-    slack = 1e-9 * max(1.0, hi)  # root may sit on a bracket endpoint
-    for _ in range(100):
-        g = ball_profile(n, m, r) - w
-        if g < 0.0:
-            lo = max(lo, min(r, hi))
-        else:
-            hi = min(hi, max(r, lo))
-        step = g / _ball_profile_slope(n, m, r)
-        r_new = r - step
-        if abs(step) <= 1e-12 * max(1.0, abs(r)):
-            return float(min(max(r_new, lo), hi))
-        if not lo - slack <= r_new <= hi + slack:
-            r_new = 0.5 * (lo + hi)
-        r = r_new
-    return float(min(max(r, lo), hi))
+    while not excess(lo) <= 0.0:
+        lo *= 0.5
+        if lo == 0.0:
+            raise ValueError(_UNREACHABLE)
+    return float(brentq(excess, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +354,21 @@ def ball_profile_inverse(n: int, m: int, w: float) -> float:
 
 
 def _harmonic(grid, l: int, order: int) -> np.ndarray:
-    """Unit-L^2(S^n) harmonic of degree l: P_l(cos theta) on the axisymmetric
-    grid, the real spherical harmonic of the given order on the full grid; at
-    order 0 the two agree exactly for n = 2, so the backends cross-check."""
+    """Unit-L^2(S^n) harmonic of degree l: the zonal Gegenbauer C_l^{(n-1)/2}(cos
+    theta) on the axisymmetric grid, the real spherical harmonic of the given
+    order on the full grid; at n = 2 the Gegenbauer is P_l, so at order 0 the two
+    agree exactly and the backends cross-check."""
     if grid.backend == "axisym":
-        Jq = 2 * l + 2
-        wq = theta_weights(Jq, grid.n - 1) * sphere_area(grid.n - 1)
-        tq = (np.arange(Jq) + 0.5) * pi / Jq
-        norm2 = float(np.sum(eval_legendre(l, np.cos(tq)) ** 2 * wq))
-        return eval_legendre(l, grid.cos_t) / np.sqrt(norm2)
+        n, alpha = grid.n, 0.5 * (grid.n - 1)
+        # log of |S^{n-1}| pi 2^{2-n} Gamma(l+n-1) / (l! (l+alpha) Gamma(alpha)^2)
+        log_norm2 = ((0.5 * n + 1.0) * log(pi) + (3 - n) * log(2.0) - gammaln(0.5 * n)
+                     + gammaln(l + n - 1.0) - gammaln(l + 1.0) - log(l + alpha)
+                     - 2.0 * gammaln(alpha))
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = eval_gegenbauer(l, alpha, grid.cos_t) * np.exp(-0.5 * log_norm2)
+        if not np.isfinite(y).all():
+            raise DiscretizationError(f"degree-{l} zonal harmonic on S^{n} overflows")
+        return y
     if not 0 <= order <= l:
         raise ValueError("harmonic order must lie in [0, l]")
     if order == 0:
@@ -396,37 +384,27 @@ def _harmonic(grid, l: int, order: int) -> np.ndarray:
 
 def _offset_sphere(grid, r0: float, a: float) -> RadialGraph:
     """The geodesic sphere of radius r0 whose center sits at distance a along
-    the axis; its distance-from-origin profile by safeguarded Newton on the
-    hyperbolic law of cosines cosh(r0) = cosh(a)cosh(p) - sinh(a)sinh(p)cos(theta)."""
+    the axis. Its distance-from-origin profile p solves the hyperbolic law of
+    cosines cosh(r0) = cosh(a)cosh(p) - sinh(a)sinh(p)cos(theta) in closed form,
+
+        p = atanh(tanh(a) cos(theta)) + asinh(sqrt((sinh^2 r0 - q^2) / (1 + q^2))),
+
+    q = sinh(a) sin(theta), with the atanh as a log1p over e^-a + sinh(a)(1 - |cos
+    theta|) and the root as a product of two, so no term cancels."""
     if a < 0.0:
         raise ValueError("offset needs a >= 0")
-    # with p <= r0 + a, no Newton term exceeds cosh(a + p) <= cosh(r0 + 2a)
     with np.errstate(over="ignore"):
         if not np.isfinite(np.cosh(r0 + 2.0 * a)):
             raise DiscretizationError(f"offset sphere overflows: cosh({r0 + 2.0 * a:.17g}) "
                                       "is not finite")
-    ca, sa = np.cosh(a), np.sinh(a)
-    ct = np.cos(grid.theta)
-    target = np.cosh(r0)
-    lo = np.full_like(ct, r0 - a)
-    hi = np.full_like(ct, r0 + a)
-    p = r0 + a * ct  # first-order profile, already close
-    for _ in range(100):
-        g = ca * np.cosh(p) - sa * np.sinh(p) * ct - target
-        gp = ca * np.sinh(p) - sa * np.cosh(p) * ct
-        step = g / gp
-        p_new = p - step
-        outside = (p_new < lo) | (p_new > hi)
-        p_new = np.where(outside, 0.5 * (lo + hi), p_new)
-        grew = ca * np.cosh(p_new) - sa * np.sinh(p_new) * ct - target
-        lo = np.where(grew < 0.0, p_new, lo)
-        hi = np.where(grew >= 0.0, p_new, hi)
-        converged = np.max(np.abs(p_new - p)) <= 1e-13 * max(1.0, r0 + a)
-        p = p_new
-        if converged:
-            break
-    return RadialGraph(grid, np.repeat(p[:, None], 2 * grid.J, axis=1)
-                       if grid.backend == "full" else p)
+    sa, sr = sinh(a), sinh(r0)
+    acute = np.reshape(np.minimum(grid.theta, pi - grid.theta), np.shape(grid.cos_t))
+    shift = 0.5 * np.log1p(2.0 * sa * np.abs(grid.cos_t)
+                           / (exp(-a) + 2.0 * sa * np.sin(0.5 * acute) ** 2))
+    q = sa * grid.sin_t
+    p = np.copysign(shift, grid.cos_t) + np.arcsinh(np.sqrt(sr - q) * np.sqrt(sr + q)
+                                                    / np.hypot(1.0, q))
+    return RadialGraph(grid, np.broadcast_to(p, grid.node_shape()).copy())
 
 
 def _perturbed_sphere(grid, r0: float, eps: float, l: int, order: int) -> RadialGraph:

@@ -132,7 +132,6 @@ class SweepRecord:
 
     eps: float
     deficit: float
-    raw_deficit: float
     dist: float
     ratio: float
     ratio3: float
@@ -194,7 +193,7 @@ def _sweep_one(family: Callable[[float], RadialGraph], m: int, eps: float):
         ratio = dist / d ** (1.0 / (m + 2)) if d > 0.0 else 0.0
         ratio3 = dist / d ** (1.0 / 3.0) if d > 0.0 else 0.0
     rec = SweepRecord(
-        eps=eps, deficit=defres.value, raw_deficit=defres.raw, dist=dist,
+        eps=eps, deficit=defres.value, dist=dist,
         ratio=ratio, ratio3=ratio3, minF=float(F.min()), maxF=float(F.max()),
         maxH=float(fields.H.max()), rho_minus=inr.rho,
     )

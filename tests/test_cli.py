@@ -277,7 +277,7 @@ class TestMainQuermass:
         assert [str(w.message) for w in recwarn] == []
 
     def test_offset_sphere_overflow_exits_numerical(self, tmp_path, capfd, recwarn):
-        # cosh(801) overflows: refused before the profile's Newton solve
+        # cosh(801) overflows: refused before the profile is formed
         cfg = write_config(tmp_path, {"n": 2, "m": 1, "backend": "axisym", "J": 16,
                                       "shape": {"kind": "offset_sphere", "r0": 800, "a": 0.5}})
         code = main(["quermass", "--config", cfg, "--out", str(tmp_path)])
@@ -458,7 +458,7 @@ class TestMainSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         data = (tmp_path / "sweep.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
-            "47ee7c56f586b81aaca1892d025108bcc6b09f61ac64ea0ae81a0542fdc26ea0")
+            "bbeafe16bbda97b22b8e08f35439fe4435de76ce38cf1f39f08bdbc91dc30562")
 
     def test_summary_line(self, tmp_path, capsys):
         cfg = str(Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -473,7 +473,7 @@ class TestMainSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         data = (tmp_path / "sweep.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
-            "d6ae6371ee4222c1078ca0f218c69203bf4c4a72d06326d177178017567e250e")
+            "16b1445e1478b05f40d3a8ae3735f85c8fa1e6beae336ed1beceb0f5f958d4c6")
 
     def test_insufficient_points_still_succeeds(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(SWEEP_CFG, sweep={"eps_list": [0.05, 0.1]}))
@@ -496,7 +496,7 @@ class TestMainConformal:
         assert margin > -1e-8
 
     def test_image_on_the_boundary_exits_numerical(self, tmp_path, capfd):
-        # 2 tanh(50) rounds to 2, where e^phi = 4/(4 - s^2) divides by zero
+        # 2 tanh(50) rounds to 2: the image leaves the open ball
         cfg = write_config(tmp_path, {"n": 2, "backend": "full", "J": 16,
                                       "shape": {"kind": "sphere", "r0": 100.0}})
         assert main(["conformal", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL

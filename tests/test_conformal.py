@@ -102,6 +102,15 @@ class TestPerturbedImages:
         assert abs(rep.density_ratio_max - 1.0) < 1e-7
         assert rep.hyperbolic_area == pytest.approx(rep.transplanted_area, rel=1e-9)
 
+    @pytest.mark.parametrize("r0", [20.0, 30.0, 36.0])
+    def test_area_identity_near_the_boundary(self, r0):
+        # s = 2 tanh(r0/2) sits within 1e-15 of 2 at r0 = 36, where 4 - s^2 cancels
+        hyp, image = _image_and_fields(FullSphereGrid(16), "sphere", r0)
+        rep = area_identity_check(hyp, image)
+        assert rep.relative_mismatch < 1e-14
+        assert abs(rep.density_ratio_min - 1.0) < 1e-14
+        assert abs(rep.density_ratio_max - 1.0) < 1e-14
+
     def test_hconvex_source_gives_convex_image(self):
         for grid in [AxisymGrid(48, 2), AxisymGrid(48, 4)]:
             _, image = _image_and_fields(grid, "perturbed_sphere", 1.0, eps=0.1, l=2)

@@ -10,6 +10,7 @@ Oracles used here:
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from hypflow.grids import AxisymGrid, FullSphereGrid
 from hypflow.hypersurface import (
     EUCLIDEAN,
     HCONVEX_TOL,
+    SHAPE_KINDS,
     DiscretizationError,
     RadialGraph,
     ShapeRejectionError,
@@ -37,6 +39,7 @@ from hypflow.hypersurface import (
     sinh_power_integral,
     traceless_measures,
 )
+from hypflow.stability import deficit
 
 # Pinned once from the closed forms f_0(r) = omega_n * I_n(r) + W_1-recursion
 # evaluated in 80-bit/mpmath-free exact reduction; unit geodesic ball, n = 2.
@@ -122,6 +125,30 @@ class TestOffsetSphere:
             lhs = np.cosh(g.r) * np.cosh(a) - np.sinh(g.r) * np.sinh(a) * np.cos(theta)
             assert np.abs(lhs - np.cosh(r0)).max() < 1e-12
 
+    @pytest.mark.parametrize("grid", [AxisymGrid(16, 2), AxisymGrid(33, 3), FullSphereGrid(16)],
+                             ids=["axisym16", "axisym33", "full16"])
+    def test_profile_matches_mpmath(self, grid):
+        # the closed form against d + acosh(cosh r0 cosh d / cosh a), tanh d = tanh a
+        # cos theta, at 50 digits; every r0 + 2a here past 710 overflows cosh and is refused
+        build = SHAPE_KINDS["offset_sphere"].build
+        worst = 0.0
+        for r0 in (1e-9, 1e-6, 1e-3, 0.3, 1.0, 8.0, 30.0, 100.0, 700.0):
+            for frac in (0.0, 0.25, 0.5, 0.9, 0.98):
+                a = frac * r0
+                if r0 + 2.0 * a > 710.0:
+                    with pytest.raises(DiscretizationError):
+                        build(grid, r0, a=a)
+                    continue
+                p = build(grid, r0, a=a).r
+                p = p if p.ndim == 1 else p[:, 5]
+                with mpmath.workdps(50):
+                    R0, A = mpmath.mpf(r0), mpmath.mpf(a)
+                    for t, got in zip(grid.theta, p):
+                        d = mpmath.atanh(mpmath.tanh(A) * mpmath.cos(mpmath.mpf(t)))
+                        ref = d + mpmath.acosh(mpmath.cosh(R0) * mpmath.cosh(d) / mpmath.cosh(A))
+                        worst = max(worst, float(abs(got - ref) / ref))
+        assert worst < 1e-13
+
     def test_equator_radius_frozen(self):
         grid = AxisymGrid(64, 2)
         g = generate_shape(grid, "offset_sphere", 1.0, a=0.3)
@@ -195,6 +222,15 @@ class TestBallProfileInverse:
         w = ball_profile(n, m, r)
         assert abs(ball_profile_inverse(n, m, w) - r) <= 1e-9 * max(r, 1.0)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_roundtrip_small_and_large_radii(self, n):
+        # odd m: W_m of a ball then never goes through the cancelling W_0
+        worst = 0.0
+        for m in range(1, n + 1, 2):
+            for r in np.logspace(-12, np.log10(50.0), 30):
+                worst = max(worst, abs(ball_profile_inverse(n, m, ball_profile(n, m, r)) - r) / r)
+        assert worst <= 1e-14
+
     def test_monotone_in_r(self):
         rs = np.linspace(0.05, 3.0, 40)
         vals = [ball_profile(3, 2, r) for r in rs]
@@ -220,6 +256,33 @@ class TestGenerateShape:
                 g = generate_shape(grid, "perturbed_sphere", 1.0, eps=1e-6, l=l)
                 y = (g.r - 1.0) / 1e-6
                 assert grid.integrate_sigma(y * y) == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_zonal_harmonic_orthogonal_to_degrees_0_and_1(self, n):
+        # a degree-l zonal harmonic on S^n is C_l^{(n-1)/2}(cos theta); the Legendre
+        # P_l carries a constant (l = 2) or a translation mode (l = 3) once n >= 3
+        grid = AxisymGrid(48, n)
+        for l in (2, 3, 4):
+            g = generate_shape(grid, "perturbed_sphere", 1.0, eps=1e-6, l=l)
+            y = (g.r - 1.0) / 1e-6
+            assert abs(grid.integrate_sigma(y)) < 1e-8
+            assert abs(grid.integrate_sigma(y * grid.cos_t)) < 1e-8
+
+    @pytest.mark.parametrize("n,m", [(3, 1), (4, 2)])
+    def test_zonal_deficit_ratio_is_eigenvalue_ratio(self, n, m):
+        # deficit ~ c(l) eps^2, and c(3)/c(2) is the ratio of (l-1)(l+n); c by Richardson
+        # from eps = 0.01 and 0.005, whose remainder is O(eps) for the l = 2 mode
+        grid = AxisymGrid(96, n)
+        c = {}
+        for l in (2, 3):
+            q = [deficit(generate_shape(grid, "perturbed_sphere", 1.0, eps=e, l=l), m).raw
+                 / e ** 2 for e in (0.01, 0.005)]
+            c[l] = 2.0 * q[1] - q[0]
+        assert c[3] / c[2] == pytest.approx(2.0 * (n + 3) / (n + 2), abs=3e-3)
+
+    def test_zonal_harmonic_overflow_raises(self):
+        with pytest.raises(DiscretizationError, match="zonal harmonic on S\\^342 overflows"):
+            generate_shape(AxisymGrid(16, 342), "perturbed_sphere", 1.0, eps=0.01, l=1000)
 
     def test_zonal_parity_full_vs_axisym(self):
         # n = 2 zonal perturbation must agree across backends node-for-node

@@ -209,7 +209,7 @@ class TestExponentFit:
     def test_synthetic_power_law_exact(self):
         rng = np.random.default_rng(3)
         defs = 10.0 ** rng.uniform(-6, -2, 8)
-        recs = [SweepRecord(eps=0.1, deficit=d, raw_deficit=d, dist=1.7 * d ** 0.37,
+        recs = [SweepRecord(eps=0.1, deficit=d, dist=1.7 * d ** 0.37,
                             ratio=0.0, ratio3=0.0, minF=1.0, maxF=2.0, maxH=3.0,
                             rho_minus=1.0) for d in defs]
         slope, intercept, r2 = exponent_fit(recs)
@@ -231,7 +231,7 @@ class TestExponentFit:
             exponent_fit(res.records)  # only 2 usable points
 
     def test_degenerate_spread(self):
-        recs = [SweepRecord(eps=e, deficit=1e-4, raw_deficit=1e-4, dist=0.01,
+        recs = [SweepRecord(eps=e, deficit=1e-4, dist=0.01,
                             ratio=0.0, ratio3=0.0, minF=1.0, maxF=2.0, maxH=3.0,
                             rho_minus=1.0) for e in (0.1, 0.2, 0.3)]
         with pytest.raises(InsufficientDataError):
