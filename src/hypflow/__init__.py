@@ -56,7 +56,6 @@ from .conformal import (
 from .flow import (
     FlowState,
     FlowTrace,
-    FResidualReport,
     StepFailureError,
     VariationalReport,
     cfl_dt,

@@ -237,7 +237,7 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
         get_shape, shape = _reader(sh, ("kind", *keys), errs, "shape.")
         for key, default in keys.items():
             get_shape(key, required=default is None and key != amp)
-        errs.extend(row.rule(backend, **{**keys, **shape}))
+        errs.extend(row.rule(backend, J, **{**keys, **shape}))
         if command == "sweep" and amp is None:
             swept = " or ".join(repr(k) for k, other in SHAPE_KINDS.items() if other.amplitude)
             errs.append(f"shape.kind: sweep requires {swept}")

@@ -52,7 +52,6 @@ __all__ = [
     "run",
     "VariationalReport",
     "variational_check",
-    "FResidualReport",
     "pointwise_F_check",
     "DEFAULT_CFL",
     "MAX_CFL",
@@ -451,11 +450,6 @@ def variational_check(state: FlowState) -> VariationalReport:
     return VariationalReport(k_residuals=residuals, minkowski_residual=mink)
 
 
-@dataclass
-class FResidualReport:
-    max_residual: float
-
-
 def _surface_christoffel_full(fields: GeometryFields):
     """Christoffel symbols of the induced metric on the 2-sphere backend,
     assembled from analytic derivatives of g_ij = r_i r_j + lam^2 sigma_ij."""
@@ -495,8 +489,8 @@ def _surface_christoffel_full(fields: GeometryFields):
     return inv, gam
 
 
-def pointwise_F_check(state: FlowState) -> FResidualReport:
-    """Nodewise residual of the exact evolution law of F along the flow,
+def pointwise_F_check(state: FlowState) -> float:
+    """Largest nodewise residual of the exact evolution law of F along the flow,
 
         dF/dt - (lam'/F^2) F^{ij} grad^2_{ij} F - <lam d_r, grad F>
           = (1 - F^{ij}g_{ij}) u + (lam'/F)(F^2 - F^{ij}(h^2)_{ij})
@@ -572,4 +566,4 @@ def pointwise_F_check(state: FlowState) -> FResidualReport:
     gauge = f * g.v * radial_dot_gradF
     advect = g.lam * radial_dot_gradF
     residual = dFdt_graph - gauge - diffusion - advect - rhs_alg - rhs_grad
-    return FResidualReport(max_residual=float(np.abs(residual).max()))
+    return float(np.abs(residual).max())

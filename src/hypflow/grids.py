@@ -193,6 +193,8 @@ class AxisymGrid:
         self.sin_t = np.sin(self.theta)
         self.cos_t = np.cos(self.theta)
         self.cot_t = self.cos_t / self.sin_t
+        # node directions in the 1-D chart of the symmetry axis
+        self.xyz = self.cos_t[:, None]
         # sin^{n-1} measure folded into the theta weights
         self.sigma_weights = theta_weights(J, n - 1) * sphere_area(n - 1)
 

@@ -22,7 +22,7 @@ from math import cosh, exp, factorial, hypot, log, pi, sinh, sqrt
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.optimize import brentq, minimize
 from scipy.special import eval_gegenbauer, gammaln, lpmv
 
 from .grids import AxisymGrid, FullSphereGrid, sphere_area
@@ -416,12 +416,16 @@ def _perturbed_sphere(grid, r0: float, eps: float, l: int, order: int) -> Radial
     return RadialGraph(grid, r)
 
 
-def _offset_rule(backend, r0, a) -> list:
+def _offset_rule(backend, J, r0, a) -> list:
     bad = r0 is not None and a is not None and not a < r0
     return [f"shape.a: must be < r0 ({r0:g}), got {a:g}"] if bad else []
 
 
-def _harmonic_rule(backend, l, order, **keys) -> list:
+def _harmonic_rule(backend, J, l, order, **keys) -> list:
+    # the theta quadrature is exact below degree J in cos(theta), so Y_l^2 of
+    # degree 2l keeps its unit L^2 norm only when 2l < J
+    if J is not None and 2 * l >= J:
+        return [f"shape.l: must be < J/2 ({0.5 * J:g}) for the grid to resolve it, got {l}"]
     if order > l:
         return [f"shape.order: must be <= l ({l}), got {order}"]
     if order and backend == "axisym":
@@ -435,14 +439,14 @@ class ShapeKind(NamedTuple):
     build: Callable[..., RadialGraph]   # (grid, r0, **keys) -> RadialGraph
     keys: dict                          # key -> default, in config order; None: required
     amplitude: Optional[str]            # the key a stability sweep sets per member
-    rule: Callable[..., list]           # (backend, r0=, **keys) -> messages
+    rule: Callable[..., list]           # (backend, J, r0=, **keys) -> messages
     hconvex: bool                       # reject a graph below the h-convexity floor
 
 
 #: every shape kind by name; a new kind is one row
 SHAPE_KINDS = {
     "sphere": ShapeKind(lambda grid, r0: RadialGraph(grid, np.full(grid.node_shape(), float(r0))),
-                        {}, None, lambda backend, **keys: [], False),
+                        {}, None, lambda backend, J, **keys: [], False),
     "offset_sphere": ShapeKind(_offset_sphere, {"a": None}, None, _offset_rule, True),
     "perturbed_sphere": ShapeKind(_perturbed_sphere, {"eps": None, "l": 2, "order": 0},
                                   "eps", _harmonic_rule, True),
@@ -461,7 +465,7 @@ def generate_shape(grid, kind: str, r0: float, hconvex_floor: float = 1.0,
         raise ValueError(f"unknown shape kind {kind!r}")
     shape = SHAPE_KINDS[kind]
     params = {**{key: v for key, v in shape.keys.items() if v is not None}, **params}
-    errors = shape.rule(grid.backend, r0=r0, **params)
+    errors = shape.rule(grid.backend, grid.J, r0=r0, **params)
     if errors:
         raise ValueError("\n".join(errors))
     graph = shape.build(grid, r0, **params)
@@ -502,10 +506,10 @@ def random_hconvex_shape(grid, rng: np.random.Generator) -> RadialGraph:
 
 def _node_matrix(grid, r: np.ndarray) -> np.ndarray:
     """Hyperboloid-model rows [cosh r - 1, -sinh r * xhat] of the nodes, column-major;
-    xhat is the node's unit vector on the full grid (N x 4) and cos theta on the
-    axisym grid (N x 2). cosh r - 1 is formed as 2 sinh^2(r/2), so cosh d - 1 keeps
-    its digits where cosh d rounds to 1."""
-    xhat = np.reshape(grid.xyz if grid.backend == "full" else grid.cos_t, (r.size, -1))
+    xhat is grid.xyz, the node's direction in the center chart: its unit vector on
+    the full grid (N x 4), cos theta on the axisym grid (N x 2). cosh r - 1 is formed
+    as 2 sinh^2(r/2), so cosh d - 1 keeps its digits where cosh d rounds to 1."""
+    xhat = np.reshape(grid.xyz, (r.size, -1))
     A = np.empty((r.size, 1 + xhat.shape[1]), order="F")
     A[:, 0] = 2.0 * np.sinh(0.5 * r.ravel()) ** 2
     A[:, 1:] = -np.sinh(r.reshape(-1, 1)) * xhat
@@ -530,8 +534,9 @@ def _arc(cosh_minus_one: np.ndarray) -> np.ndarray:
 
 def geodesic_distances(grid, r: np.ndarray, center) -> np.ndarray:
     """Hyperbolic distance from an interior point to every node of the graph.
-    Axisym centers are signed positions on the axis, full-grid centers vectors in
-    the exponential chart at the origin; a center search uses distance_range."""
+    Centers are vectors in the exponential chart at the origin, of length 3 on
+    the full grid and 1 (along the axis) on the axisym grid; a center search
+    uses distance_range."""
     C, s = _center_point(center)
     return _arc(_node_matrix(grid, r) @ C + s).reshape(r.shape)
 
@@ -555,23 +560,21 @@ def distance_range(grid, r: np.ndarray) -> Callable[[object], tuple[float, float
 @dataclass
 class InradiusResult:
     rho: float
-    center: object            # float (axisym) or ndarray shape (3,) (full)
-    converged: bool
+    center: np.ndarray        # exponential-chart vector, shape grid.xyz.shape[-1:]
 
     def center_norm(self) -> float:
-        return float(np.linalg.norm(np.atleast_1d(np.asarray(self.center, dtype=float))))
+        return float(np.linalg.norm(self.center))
 
 
-def search_center(graph: RadialGraph, objective: Callable[[object], float], starts):
-    """Center of lowest objective value; returns (center, value, converged).
+def search_center(graph: RadialGraph, objective: Callable[[np.ndarray], float], starts):
+    """Center of lowest objective value; returns (center, value).
 
-    Each start is scored as it stands, then searched from: on the axisym
-    grid by one bounded scalar search over the axis segment [-max r, max r],
-    on the full grid by Nelder-Mead from every start. The lowest value wins
-    and a tie goes to the earlier candidate, the starts in the order given
-    first; converged is true when any search reported success. A center
-    farther than max r from the origin lies outside the star-shaped body
-    and scores +inf.
+    Centers are exponential-chart vectors as in geodesic_distances. Each
+    start is scored as it stands, then searched from by Nelder-Mead. The
+    lowest value wins and a tie goes to the earlier candidate, the starts in
+    the order given first. A center farther than max r from the origin lies
+    outside the star-shaped body and scores +inf. DiscretizationError if no
+    search converges.
     """
     span = float(graph.r.max())
 
@@ -579,25 +582,24 @@ def search_center(graph: RadialGraph, objective: Callable[[object], float], star
         return objective(center) if hypot(*np.ravel(center)) <= span else np.inf
 
     candidates = [(start, bounded(start)) for start in starts]
-    if graph.backend == "axisym":
-        results = [minimize_scalar(bounded, bounds=(-span, span), method="bounded",
-                                   options={"xatol": 1e-11})]
-    else:
-        results = [minimize(bounded, start, method="Nelder-Mead",
-                            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-                   for start in starts]
+    results = [minimize(bounded, start, method="Nelder-Mead",
+                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
+               for start in starts]
+    if not any(res.success for res in results):
+        raise DiscretizationError(f"center search did not converge from {len(starts)} "
+                                  f"starts: {results[0].message}")
     candidates += [(res.x, res.fun) for res in results]
     center, value = min(candidates, key=lambda cand: cand[1])
-    return center, float(value), any(bool(res.success) for res in results)
+    return center, float(value)
 
 
 def inradius(graph: RadialGraph) -> InradiusResult:
     """Largest rho so some center keeps every boundary node at distance >= rho.
 
-    Max-min search through search_center, from the origin and, on the full
-    grid, a center-of-mass proxy; the objective is nonsmooth, so the full
-    grid uses a simplex search. Trial centers are scored through
-    distance_range, one matrix-vector product each.
+    Max-min search through search_center, from the origin and a
+    center-of-mass proxy; the objective is nonsmooth, hence a simplex search.
+    Trial centers are scored through distance_range, one matrix-vector
+    product each.
     """
     grid, r = graph.grid, graph.r
     extremes = distance_range(grid, r)
@@ -605,16 +607,13 @@ def inradius(graph: RadialGraph) -> InradiusResult:
     def neg_min_distance(center):
         return -extremes(center)[0]
 
-    if grid.backend == "axisym":
-        center, value, ok = search_center(graph, neg_min_distance, [0.0])
-        return InradiusResult(-value, float(center), ok)
-    com = np.tensordot(grid.sigma_weights * r, grid.xyz, axes=([0, 1], [0, 1]))
+    com = np.tensordot(grid.sigma_weights * r, grid.xyz, axes=r.ndim)
     com_norm = np.linalg.norm(com)
-    starts = [np.zeros(3)]
+    starts = [np.zeros(com.size)]
     if com_norm > 1e-12:
         starts.append(com / com_norm * min(0.3 * float(r.min()), com_norm))
-    center, value, ok = search_center(graph, neg_min_distance, starts)
-    return InradiusResult(-value, center, ok)
+    center, value = search_center(graph, neg_min_distance, starts)
+    return InradiusResult(-value, center)
 
 
 def hconvexity_margin(fields: GeometryFields) -> float:

@@ -95,13 +95,12 @@ class SphereFit:
     """Best-fit geodesic sphere: minimizes the radial gap
     (max_x d(c,x) - min_x d(c,x))/2 over centers c; radius is the midrange."""
 
-    center: np.ndarray        # 3-vector chart point (full) or signed axis offset (axisym)
+    center: np.ndarray        # exponential-chart vector, shape grid.xyz.shape[-1:]
     radius: float
     cheb: float
-    converged: bool
 
     def center_norm(self) -> float:
-        return float(np.linalg.norm(np.atleast_1d(self.center)))
+        return float(np.linalg.norm(self.center))
 
 
 def sphere_fit(graph: RadialGraph, inr: Optional[InradiusResult] = None) -> SphereFit:
@@ -116,12 +115,10 @@ def sphere_fit(graph: RadialGraph, inr: Optional[InradiusResult] = None) -> Sphe
         lo, hi = extremes(center)
         return 0.5 * (hi - lo)
 
-    axisym = graph.backend == "axisym"
-    best, _, ok = search_center(graph, gap, [0.0 if axisym else np.zeros(3), inr.center])
-    center = np.array([0.0, 0.0, best]) if axisym else np.array(best, dtype=float)
+    best, _ = search_center(graph, gap, [np.zeros_like(inr.center), inr.center])
     lo, hi = extremes(best)
-    return SphereFit(center=center, radius=0.5 * (hi + lo), cheb=0.5 * (hi - lo),
-                     converged=ok)
+    return SphereFit(center=np.array(best, dtype=float), radius=0.5 * (hi + lo),
+                     cheb=0.5 * (hi - lo))
 
 
 @dataclass(frozen=True)

@@ -252,6 +252,16 @@ class TestMainQuermass:
         assert len(rho) == 1
         assert float(rho[0]) == pytest.approx(1e-4, rel=1e-12)
 
+    def test_large_axisym_sphere_inradius(self, tmp_path, capsys):
+        # the nodes sit half a cell off the poles, 12.6 from a pole at this
+        # radius, so a center that drifts to a pole reads too large
+        cfg = write_config(tmp_path, {"n": 2, "m": 1, "backend": "axisym", "J": 32,
+                                      "shape": {"kind": "sphere", "r0": 10}})
+        assert main(["quermass", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert "inradius_rho = 10" in out
+        assert "inradius_center_norm = 0" in out
+
     def test_nonfinite_quermassintegral_exits_numerical(self, tmp_path, capfd, recwarn):
         # sinh(30)^40 overflows: caught where it first appears, before NumPy warns
         cfg = write_config(tmp_path, {"n": 40, "m": 1, "backend": "axisym", "J": 16,
@@ -303,7 +313,7 @@ class TestMainQuermass:
 
     def test_arithmetic_error_exits_numerical(self, tmp_path, capfd):
         # the degree-170 harmonic's normalisation takes factorial(171) as a float
-        cfg = write_config(tmp_path, {"n": 2, "m": 1, "backend": "full", "J": 16,
+        cfg = write_config(tmp_path, {"n": 2, "m": 1, "backend": "full", "J": 342,
                                       "shape": {"kind": "perturbed_sphere", "r0": 1.0,
                                                 "eps": 0.01, "l": 170, "order": 1}})
         code = main(["quermass", "--config", cfg, "--out", str(tmp_path)])
@@ -321,6 +331,17 @@ class TestMainQuermass:
             assert main(["quermass", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
             assert capfd.readouterr().err.splitlines() == [
                 f"config error: shape.l: must be <= 1000, got {l}"]
+
+    def test_unresolved_degree_exits_config(self, tmp_path, capfd):
+        # Y_l^2 has degree 2l in cos(theta); J latitudes integrate it exactly
+        # only below degree J, so l = 8 is the first refused at J = 16
+        for backend in ("axisym", "full"):
+            cfg = write_config(tmp_path, {"n": 2, "m": 1, "backend": backend, "J": 16,
+                                          "shape": {"kind": "perturbed_sphere", "r0": 1.0,
+                                                    "eps": 0.01, "l": 8}})
+            assert main(["quermass", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+            assert capfd.readouterr().err.splitlines() == [
+                "config error: shape.l: must be < J/2 (8) for the grid to resolve it, got 8"]
 
     def test_nonpositive_quermassintegral_exits_numerical(self, tmp_path, capfd):
         # the recursion cancels at n = 342: W_200 of this body comes out negative

@@ -231,3 +231,38 @@ def kind_comparisons() -> list:
 
 def test_no_comparison_against_a_kind_name():
     assert kind_comparisons() == []
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A class decorated with dataclass, called or bare, or a NamedTuple subclass."""
+
+    def named(expr, name):
+        expr = expr.func if isinstance(expr, ast.Call) else expr
+        return getattr(expr, "id", getattr(expr, "attr", None)) == name
+
+    return (any(named(d, "dataclass") for d in node.decorator_list)
+            or any(named(b, "NamedTuple") for b in node.bases))
+
+
+def unread_record_fields() -> list:
+    """Fields of the package's dataclasses and NamedTuples that no attribute
+    read in the package, the benchmark or the tests names; a field nothing
+    reads is a value computed and stored for no one."""
+    fields = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                fields += [(path.stem, node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+    read = set()
+    for path in CALLERS + sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}.{cls}.{field}" for module, cls, field in fields if field not in read]
+
+
+def test_every_record_field_is_read():
+    assert unread_record_fields() == []
