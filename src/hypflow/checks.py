@@ -48,6 +48,7 @@ class CheckResult:
     passed: bool
     detail: str
     elapsed: float = 0.0
+    payload: object = None   # what a later check reads: check_canned_flow's (graph, trace)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -239,9 +240,7 @@ def check_canned_flow() -> CheckResult:
               f"radius_err={radius_err:.2e} flags={trace.flag_count}")
     if issues:
         detail += " | " + "; ".join(issues)
-    result = CheckResult("canned_flow", not issues, detail)
-    result.payload = (graph, trace)
-    return result
+    return CheckResult("canned_flow", not issues, detail, payload=(graph, trace))
 
 
 @_timed

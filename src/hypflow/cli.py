@@ -324,10 +324,8 @@ def cmd_flow(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
         final, trace = run(state, t_max=cfg.flow.t_max, tol_stop=cfg.flow.tol_stop,
                            c_cfl=cfg.flow.c_cfl)
     except StepFailureError as exc:
-        partial = getattr(exc, "partial_trace", None)
-        if partial is not None:
-            _emit_csv(csv_path, partial.csv_lines(), failed=str(exc))
-            print(f"wrote partial trace {csv_path}")
+        _emit_csv(csv_path, exc.partial_trace.csv_lines(), failed=str(exc))
+        print(f"wrote partial trace {csv_path}")
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     _emit_csv(csv_path, trace.csv_lines())
@@ -375,9 +373,14 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
         print(f"log-log slope: not fitted ({exc})")
     print(f"wrote {csv_path}")
     if plot:
-        svg_path = os.path.join(out_dir, "sweep.svg")
-        _write_text(svg_path, sweep_svg(result))
-        print(f"wrote {svg_path}")
+        try:
+            svg = sweep_svg(result)
+        except InsufficientDataError as exc:
+            print(f"sweep.svg: not written ({exc})")
+        else:
+            svg_path = os.path.join(out_dir, "sweep.svg")
+            _write_text(svg_path, svg)
+            print(f"wrote {svg_path}")
     return EXIT_OK
 
 

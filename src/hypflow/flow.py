@@ -88,6 +88,7 @@ class StepFailureError(RuntimeError):
         self.dt = dt
         self.diagnostics = diagnostics
         self.rhs_evals = rhs_evals   # geometry evaluations the failed step spent
+        self.partial_trace = None    # the trace up to the failure, set by run
 
 
 def normal_speed(fields: GeometryFields, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,14 +105,16 @@ def _speed(fields: GeometryFields, F: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 @dataclass
 class FlowState:
-    """One point on a flow trajectory plus the frozen initial-data records.
+    """One point on a flow trajectory plus two frozen initial-data records:
+    the quermassintegrals W_init and the inradius rho_minus_init.
 
     F, the speed and the traceless measures of the state are evaluated at
     most once, on first use, and shared by the stepper, the stop tests and
     the trace row. Later states are made with dataclasses.replace, which
     carries m and the initial-data records over and starts those caches empty.
     rhs_evals counts the geometry evaluations step spent to reach the state,
-    accumulated like t.
+    accumulated like t. The monitors' other bounds come from the first row of
+    the run's trace.
     """
 
     graph: RadialGraph
@@ -119,13 +122,8 @@ class FlowState:
     t: float
     fields: GeometryFields
     W: np.ndarray
-    # initial-data records used by the monitors
     W_init: np.ndarray
-    maxF_init: float
-    minr_init: float
-    maxr_init: float
     rho_minus_init: float
-    minu_init: float
     rhs_evals: int = 0
 
     @classmethod
@@ -135,13 +133,8 @@ class FlowState:
             raise ValueError(f"m={m} out of range 1..{n - 1}")
         fields = geometry_fields(graph)
         W = quermassintegrals(graph, fields)
-        rho = inradius(graph).rho
-        return cls(
-            graph=graph, m=m, t=0.0, fields=fields, W=W,
-            W_init=W.copy(), maxF_init=float(quotient_from_esym(m, fields.E).max()),
-            minr_init=float(graph.r.min()), maxr_init=float(graph.r.max()),
-            rho_minus_init=rho, minu_init=float(fields.u.min()),
-        )
+        return cls(graph=graph, m=m, t=0.0, fields=fields, W=W, W_init=W.copy(),
+                   rho_minus_init=inradius(graph).rho)
 
     @cached_property
     def F(self) -> np.ndarray:
@@ -218,15 +211,16 @@ def _trace_row(state: FlowState, dt: float, cum: float) -> tuple[list, dict]:
 _MONITOR_TOL = 1e-8
 
 
-def _monitor_flags(state: FlowState, scalars: dict, n: int) -> list:
-    """A priori bounds; each violation is reported, never enforced."""
-    u_floor = min(state.minu_init, np.sinh(state.rho_minus_init))
+def _monitor_flags(state: FlowState, scalars: dict, first: dict) -> list:
+    """A priori bounds against the scalars of the run's first row and the
+    initial inradius; each violation is reported, never enforced."""
+    u_floor = min(first["minu"], np.sinh(state.rho_minus_init))
     checks = [
         ("F_lower", scalars["minF"] < 1.0 - _MONITOR_TOL),
-        ("F_upper", scalars["maxF"] > state.maxF_init + _MONITOR_TOL),
-        ("H_lower", scalars["minH"] < n - _MONITOR_TOL),
-        ("r_lower", scalars["minr"] < state.minr_init - _MONITOR_TOL),
-        ("r_upper", scalars["maxr"] > state.maxr_init + _MONITOR_TOL),
+        ("F_upper", scalars["maxF"] > first["maxF"] + _MONITOR_TOL),
+        ("H_lower", scalars["minH"] < state.graph.n - _MONITOR_TOL),
+        ("r_lower", scalars["minr"] < first["minr"] - _MONITOR_TOL),
+        ("r_upper", scalars["maxr"] > first["maxr"] + _MONITOR_TOL),
         ("u_lower", scalars["minu"] < u_floor - _MONITOR_TOL),
         ("u_upper", scalars["maxu"] > np.exp(state.rho_minus_init) + _MONITOR_TOL),
     ]
@@ -358,18 +352,17 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
         c_cfl: float = DEFAULT_CFL, max_steps: int = 2_000_000) -> tuple[FlowState, FlowTrace]:
     """Advance until ||A_traceless||_inf < tol_stop (skipped if tol_stop <= 0),
     max |f| < 1e-10, or t reaches t_max; returns the final state and trace."""
-    n = state.graph.n
     if not 0.0 < c_cfl <= MAX_CFL:
         raise ValueError(f"c_cfl must lie in (0, {MAX_CFL}]")
     m = state.m
-    trace = FlowTrace(n=n, m=m)
+    trace = FlowTrace(n=state.graph.n, m=m)
     evals0 = state.rhs_evals
     dt_rise = np.inf   # longest dt the last W_{m+1} rise rate allows
     cum = 0.0
     deficit_rate = _deficit_integrand_value(state.fields, m)
-    row, scalars = _trace_row(state, 0.0, cum)
+    row, first = _trace_row(state, 0.0, cum)
     trace.rows.append(row)
-    trace.flags.extend((state.t, name) for name in _monitor_flags(state, scalars, n))
+    trace.flags.extend((state.t, name) for name in _monitor_flags(state, first, first))
 
     for _ in range(max_steps):
         if tol_stop > 0.0 and state.traceless[1] < tol_stop:
@@ -399,7 +392,7 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
         deficit_rate = rate_new
         row, scalars = _trace_row(state, dt_used, cum)
         trace.rows.append(row)
-        trace.flags.extend((state.t, name) for name in _monitor_flags(state, scalars, n))
+        trace.flags.extend((state.t, name) for name in _monitor_flags(state, scalars, first))
     else:
         trace.stop_reason = "max_steps"
     return state, trace
@@ -506,15 +499,9 @@ def pointwise_F_check(state: FlowState) -> float:
     grid = state.graph.grid
     h = cfl_dt(state) / 4.0
     s0, s1, s2 = _probe_states(state, h)
-
-    def F_of(st):
-        F, dF = quotient_eval(m, st.fields.kappa)
-        return F, dF
-
-    F0, dF0 = F_of(s0)
-    F1, _ = F_of(s1)
-    F2, _ = F_of(s2)
-    dFdt_graph = (-3.0 * F0 + 4.0 * F1 - F2) / (2.0 * h)
+    # only the current state needs the gradient; the probes' F is cached
+    F0, dF0 = quotient_eval(m, s0.fields.kappa)
+    dFdt_graph = (-3.0 * F0 + 4.0 * s1.F - s2.F) / (2.0 * h)
 
     g = s0.fields
     f = s0.speed[0]

@@ -148,16 +148,20 @@ class GeometryFields:
 def geometry_fields(graph: RadialGraph, warp: Warp = HYPERBOLIC) -> GeometryFields:
     """Evaluate first and second fundamental form data at every node."""
     grid, r = graph.grid, graph.r
-    # an overflow leaves inf or nan behind, which the checks here report
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow or a division by an underflowed lam leaves inf or nan
+    # behind, which the checks here report
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lam = warp.lam(r)
         lamp = warp.lam_prime(r)
         if not (np.isfinite(lam).all() and np.isfinite(lamp).all()):
             raise DiscretizationError(f"non-finite warp factor at radius {r.max():.17g}")
-        if grid.backend == "full":
-            fields = _geometry_full(graph, grid, r, lam, lamp, warp)
-        else:
-            fields = _geometry_axisym(graph, grid, r, lam, lamp, warp)
+        grid_fields = _geometry_full if grid.backend == "full" else _geometry_axisym
+        v, kappa, Atr2, own = grid_fields(grid, r, lam, lamp)
+        E = esym_all(kappa)
+        fields = GeometryFields(
+            graph=graph, warp=warp, r=r, lam=lam, lamp=lamp, v=v, u=lam / v,
+            kappa=kappa, E=E, area_density=v * lam ** grid.n, Atr2=Atr2,
+            H=grid.n * E[..., 1], **own)
     if not np.isfinite(fields.kappa).all():
         bad = np.argwhere(~np.isfinite(fields.kappa))
         raise DiscretizationError(f"non-finite curvature at node index {bad[0].tolist()}")
@@ -171,7 +175,8 @@ def geometry_fields(graph: RadialGraph, warp: Warp = HYPERBOLIC) -> GeometryFiel
     return fields
 
 
-def _geometry_full(graph, grid: FullSphereGrid, r, lam, lamp, warp) -> GeometryFields:
+def _geometry_full(grid: FullSphereGrid, r, lam, lamp):
+    """(v, kappa, |A|^2 - H^2/2, the remaining fields by name) on the full grid."""
     rt, rtt = grid.d_theta_pair(r)
     rp, rpp = grid.d_phi_pair(r)
     rtp = grid.d_phi(rt)  # = grid.d_theta_phi(r), reusing rt
@@ -187,7 +192,6 @@ def _geometry_full(graph, grid: FullSphereGrid, r, lam, lamp, warp) -> GeometryF
     inv_lam2 = 1.0 / lam2
     grad2 = rt2 + (rp / sin_t) ** 2
     v = np.sqrt(1.0 + grad2 * inv_lam2)
-    u = lam / v
 
     g_tt = rt2 + lam2
     g_tp = rt * rp
@@ -216,27 +220,18 @@ def _geometry_full(graph, grid: FullSphereGrid, r, lam, lamp, warp) -> GeometryF
     disc = np.maximum((S_tt - S_pp) ** 2 + 4.0 * S_tp * S_pt, 0.0)
     root = np.sqrt(disc)
     kappa = np.stack([(tr - root) / 2.0, (tr + root) / 2.0], axis=-1)
-
-    E = esym_all(kappa)
-    H = 2.0 * E[..., 1]
-    Atr2 = disc / 2.0  # |A - (H/2)g|^2 = (kappa_1 - kappa_2)^2 / 2
-    area_density = v * lam ** 2
-
-    return GeometryFields(
-        graph=graph, warp=warp, r=r, lam=lam, lamp=lamp, v=v, u=u,
-        kappa=kappa, E=E, area_density=area_density, Atr2=Atr2, H=H,
-        rt=rt, rtt=rtt, rp=rp, rtp=rtp, rpp=rpp,
-        g_tt=g_tt, g_tp=g_tp, g_pp=g_pp,
-        S_tt=S_tt, S_tp=S_tp, S_pt=S_pt, S_pp=S_pp,
-    )
+    # |A - (H/2)g|^2 = (kappa_1 - kappa_2)^2 / 2
+    return v, kappa, disc / 2.0, dict(
+        rt=rt, rtt=rtt, rp=rp, rtp=rtp, rpp=rpp, g_tt=g_tt, g_tp=g_tp, g_pp=g_pp,
+        S_tt=S_tt, S_tp=S_tp, S_pt=S_pt, S_pp=S_pp)
 
 
-def _geometry_axisym(graph, grid: AxisymGrid, r, lam, lamp, warp) -> GeometryFields:
+def _geometry_axisym(grid: AxisymGrid, r, lam, lamp):
+    """(v, kappa, |A|^2 - H^2/n, the remaining fields by name) on the axisym grid."""
     n = grid.n
     rt, rtt = grid.d_theta_pair(r)
 
     v = np.sqrt(1.0 + (rt / lam) ** 2)
-    u = lam / v
     g_tt = rt * rt + lam * lam
 
     # coordinate directions are principal: one radial and n-1 equal angular curvatures
@@ -244,17 +239,9 @@ def _geometry_axisym(graph, grid: AxisymGrid, r, lam, lamp, warp) -> GeometryFie
     k_ang = (lam * lamp - grid.cot_t * rt) / (v * lam * lam)
 
     kappa = np.concatenate([k_rad[:, None], np.repeat(k_ang[:, None], n - 1, axis=1)], axis=1)
-    E = esym_all(kappa)
-    H = n * E[..., 1]
     # |A|^2 - H^2/n via the curvature split, free of large-term cancellation
     Atr2 = (n - 1) / n * (k_rad - k_ang) ** 2
-    area_density = v * lam ** n
-
-    return GeometryFields(
-        graph=graph, warp=warp, r=r, lam=lam, lamp=lamp, v=v, u=u,
-        kappa=kappa, E=E, area_density=area_density, Atr2=Atr2, H=H,
-        rt=rt, rtt=rtt, g_tt=g_tt,
-    )
+    return v, kappa, Atr2, dict(rt=rt, rtt=rtt, g_tt=g_tt)
 
 
 def integrate(fields: GeometryFields, values) -> float:
@@ -281,11 +268,23 @@ def sinh_power_integral(n: int, r: np.ndarray) -> np.ndarray:
     return prev
 
 
+def _quermass_recursion(n: int, W0: float, int_E) -> np.ndarray:
+    """W_0..W_n from W_0 = |Omega| and int E_k dmu for k < n:
+
+        W_1 = (1/(n+1)) int E_0 dmu = |M|/(n+1),
+        W_{k+1} = (1/(n+1)) int E_k dmu - k/(n+2-k) W_{k-1}.
+    """
+    W = np.zeros(n + 1)
+    W[0] = W0
+    W[1] = int_E[0] / (n + 1)
+    for k in range(1, n):
+        W[k + 1] = int_E[k] / (n + 1) - k / (n + 2 - k) * W[k - 1]
+    return W
+
+
 def quermassintegrals(graph: RadialGraph, fields: GeometryFields | None = None) -> np.ndarray:
     """W_0..W_n of the enclosed domain, via the curvature-integral recursion
-
-        W_0 = |Omega|,  W_1 = |M|/(n+1),
-        W_{k+1} = (1/(n+1)) int E_k dmu - k/(n+2-k) W_{k-1}.
+    (_quermass_recursion).
 
     Raises DiscretizationError if any W_k is not finite (e.g. sinh^n
     overflowing on a large sphere), rather than returning it.
@@ -295,12 +294,8 @@ def quermassintegrals(graph: RadialGraph, fields: GeometryFields | None = None) 
     if fields.warp.name != "hyperbolic":
         raise ValueError("quermassintegrals are defined for the hyperbolic warp")
     n = graph.n
-    W = np.zeros(n + 1)
-    W[0] = graph.grid.integrate_sigma(sinh_power_integral(n, graph.r))
-    int_E = [integrate(fields, fields.E[..., k]) for k in range(n)]
-    W[1] = int_E[0] / (n + 1)
-    for k in range(1, n):
-        W[k + 1] = int_E[k] / (n + 1) - k / (n + 2 - k) * W[k - 1]
+    W = _quermass_recursion(n, graph.grid.integrate_sigma(sinh_power_integral(n, graph.r)),
+                            [integrate(fields, fields.E[..., k]) for k in range(n)])
     if not np.all(np.isfinite(W)):
         k = int(np.argmin(np.isfinite(W)))
         raise DiscretizationError(f"non-finite quermassintegral W_{k} = {W[k]}")
@@ -308,7 +303,7 @@ def quermassintegrals(graph: RadialGraph, fields: GeometryFields | None = None) 
 
 
 def ball_profile(n: int, m: int, r: float) -> float:
-    """W_m of the geodesic ball of radius r in H^{n+1}."""
+    """W_m of the geodesic ball of radius r in H^{n+1}, on which E_k = coth^k r."""
     if r <= 0.0:
         raise ValueError("ball radius must be positive")
     if not 0 <= m <= n:
@@ -316,13 +311,8 @@ def ball_profile(n: int, m: int, r: float) -> float:
     omega = sphere_area(n)
     area = omega * np.sinh(r) ** n
     coth = np.cosh(r) / np.sinh(r)
-    W = np.zeros(n + 1)
-    W[0] = omega * float(sinh_power_integral(n, np.asarray(r)))
-    if n >= 1:
-        W[1] = area / (n + 1)
-    for k in range(1, n):
-        W[k + 1] = coth ** k * area / (n + 1) - k / (n + 2 - k) * W[k - 1]
-    return float(W[m])
+    W0 = omega * float(sinh_power_integral(n, np.asarray(r)))
+    return float(_quermass_recursion(n, W0, [coth ** k * area for k in range(n)])[m])
 
 
 _UNREACHABLE = "profile value must be positive (W_m -> 0 as r -> 0)"
@@ -346,7 +336,12 @@ def ball_profile_inverse(n: int, m: int, w: float) -> float:
         lo *= 0.5
         if lo == 0.0:
             raise ValueError(_UNREACHABLE)
-    return float(brentq(excess, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
+    r, res = brentq(excess, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
+                    full_output=True, disp=False)
+    if not res.converged:
+        raise DiscretizationError(f"ball radius for W_{m} = {w:.17g} not found in "
+                                  f"[{lo:.17g}, {hi:.17g}]: {res.flag}")
+    return float(r)
 
 
 # ---------------------------------------------------------------------------

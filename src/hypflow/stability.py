@@ -282,7 +282,7 @@ def proof_trace_check(graph: RadialGraph, m: int, trace: FlowTrace) -> ProofTrac
     ((n+1)/(n-m)) * deficit of graph."""
     n = graph.n
     defres = deficit(graph, m)
-    cum = float(trace.rows[-1][-1])
+    cum = float(trace.column("cumDeficitIntegral")[-1])
     target = (n + 1) / (n - m) * defres.value
     if abs(target) < 1e-12:
         residual = abs(cum - target)

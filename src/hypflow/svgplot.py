@@ -14,6 +14,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from .stability import InsufficientDataError
+
 __all__ = ["flow_svg", "sweep_svg"]
 
 _PALETTE = ("#1965b0", "#dc050c", "#4eb265", "#f7a022", "#882e72")
@@ -219,7 +221,7 @@ def sweep_svg(result) -> str:
     """Log-log distance vs deficit with the 1/(m+2) and 1/2 reference slopes."""
     recs = [r for r in result.records if r.deficit > 0 and r.dist > 0]
     if not recs:
-        raise ValueError("sweep has no records with positive deficit and dist")
+        raise InsufficientDataError("sweep has no records with positive deficit and dist")
     d = np.array([r.deficit for r in recs])
     y = np.array([r.dist for r in recs])
     mexp = 1.0 / (result.m + 2)

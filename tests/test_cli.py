@@ -311,6 +311,18 @@ class TestMainQuermass:
             "numerical failure: nonpositive area density at node index [0]"]
         assert [str(w.message) for w in recwarn] == []
 
+    @pytest.mark.parametrize("backend, n, r0", [("axisym", 2, 1e-300), ("axisym", 2, 1e-150),
+                                                ("full", 2, 1e-300), ("axisym", 3, 1e-100)])
+    def test_tiny_sphere_exits_numerical(self, tmp_path, capfd, recwarn, backend, n, r0):
+        # at 1e-300 lam^2 underflows to 0 and the geometry divides by it; at
+        # 1e-150 and 1e-100 Brent's method cannot close the ball-radius bracket
+        cfg = write_config(tmp_path, {"n": n, "m": 1, "backend": backend, "J": 16,
+                                      "shape": {"kind": "sphere", "r0": r0}})
+        assert main(["quermass", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+        assert [str(w.message) for w in recwarn] == []
+
     def test_arithmetic_error_exits_numerical(self, tmp_path, capfd):
         # the degree-170 harmonic's normalisation takes factorial(171) as a float
         cfg = write_config(tmp_path, {"n": 2, "m": 1, "backend": "full", "J": 342,
@@ -500,6 +512,14 @@ class TestMainSweep:
         cfg = write_config(tmp_path, dict(SWEEP_CFG, sweep={"eps_list": [0.05, 0.1]}))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         assert "not fitted" in capsys.readouterr().out
+
+    def test_plot_without_positive_points_still_succeeds(self, tmp_path, capsys):
+        # the round member has no deficit to plot; the CSV is still the result
+        cfg = write_config(tmp_path, dict(SWEEP_CFG, sweep={"eps_list": [0.0]}))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--plot"]) == EXIT_OK
+        assert "sweep.svg: not written (" in capsys.readouterr().out
+        assert (tmp_path / "sweep.csv").exists()
+        assert not (tmp_path / "sweep.svg").exists()
 
 
 class TestMainConformal:

@@ -217,28 +217,30 @@ class TestShortRuns:
 
 
 class TestMonitors:
+    # the bounds are the scalars of the run's first row
     def test_u_drop_flags(self):
         st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
-        scalars = {"minF": 1.5, "maxF": st.maxF_init, "minH": 5.0, "maxH": 5.0,
-                   "minr": 1.0, "maxr": 1.1, "minu": st.minu_init - 1.0,
+        _, first = flow._trace_row(st, 0.0, 0.0)
+        scalars = {"minF": 1.5, "maxF": first["maxF"], "minH": 5.0, "maxH": 5.0,
+                   "minr": 1.0, "maxr": 1.1, "minu": first["minu"] - 1.0,
                    "maxu": np.sinh(1.1)}
-        names = flow._monitor_flags(st, scalars, 2)
+        names = flow._monitor_flags(st, scalars, first)
         assert "u_lower" in names
 
     def test_quiet_on_initial_scalars(self):
         st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
-        _, scalars = flow._trace_row(st, 0.0, 0.0)
-        assert flow._monitor_flags(st, scalars, 2) == []
+        _, first = flow._trace_row(st, 0.0, 0.0)
+        assert flow._monitor_flags(st, first, first) == []
 
     def test_f_bounds_flag(self):
         st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
-        _, scalars = flow._trace_row(st, 0.0, 0.0)
-        bad = dict(scalars)
+        _, first = flow._trace_row(st, 0.0, 0.0)
+        bad = dict(first)
         bad["minF"] = 0.5
-        assert "F_lower" in flow._monitor_flags(st, bad, 2)
-        bad = dict(scalars)
-        bad["maxF"] = st.maxF_init + 1.0
-        assert "F_upper" in flow._monitor_flags(st, bad, 2)
+        assert "F_lower" in flow._monitor_flags(st, bad, first)
+        bad = dict(first)
+        bad["maxF"] = first["maxF"] + 1.0
+        assert "F_upper" in flow._monitor_flags(st, bad, first)
 
 
 class TestStepSizePolicy:
@@ -286,6 +288,21 @@ class TestStepSizePolicy:
             new, _, halvings = step(st, 50.0, DEFAULT_CFL)
         assert halvings > 0
         assert new.rhs_evals == len(calls)
+
+    def test_quotient_evaluated_once_per_geometry_evaluation(self, monkeypatch):
+        # F is read from each state's cache: one quotient per geometry
+        # evaluation while stepping, plus the initial state's
+        calls = []
+
+        def counted(m, E):
+            calls.append(m)
+            return quotient_from_esym(m, E)
+
+        monkeypatch.setattr(flow, "quotient_from_esym", counted)
+        st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
+        _, trace = run(st, t_max=0.05)
+        assert trace.rejections == 0
+        assert len(calls) == trace.rhs_evals + 1 == 25
 
     def test_rise_predictor_avoids_halvings(self):
         # the discrete W3 of this relaxation rises slowly near round; a step

@@ -266,3 +266,39 @@ def unread_record_fields() -> list:
 
 def test_every_record_field_is_read():
     assert unread_record_fields() == []
+
+
+def _stores(tree):
+    """Every attribute store `obj.attr = ...` in a module, augmented ones included."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)]
+
+
+def _on_self(node: ast.Attribute) -> bool:
+    return isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
+def undeclared_attribute_stores() -> list:
+    """Stores `obj.attr = ...` in the package, outside `self`, to an attribute
+    that no class of the package declares, by a name bound in its body or by a
+    store on `self` in one of its methods; an attribute its class does not name
+    is one no reader of that class can know about."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    declared = set()
+    for tree in trees.values():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+                declared |= {t.id for t in targets if isinstance(t, ast.Name)}
+            declared |= {node.attr for node in _stores(cls) if _on_self(node)}
+    return [f"{path.relative_to(ROOT)}:{node.lineno} {node.attr}"
+            for path, tree in trees.items() for node in _stores(tree)
+            if not _on_self(node) and node.attr not in declared]
+
+
+def test_every_attribute_store_is_declared():
+    assert undeclared_attribute_stores() == []
