@@ -24,9 +24,7 @@ from .grids import AxisymGrid, FullSphereGrid
 from .hypersurface import (
     ball_profile,
     generate_shape,
-    geometry_fields,
     integrate,
-    quermassintegrals,
     random_hconvex_shape,
 )
 from .stability import deficit, proof_trace_check, sphere_fit
@@ -148,8 +146,7 @@ def _random_shape_pool(seed: int, count: int, J: int):
 
 def minkowski_residuals(graph) -> np.ndarray:
     """Relative residual of int lam' E_k dmu = int u E_{k+1} dmu for each k."""
-    fields = geometry_fields(graph)
-    n = graph.n
+    fields, n = graph.fields, graph.n
     res = np.empty(n)
     for k in range(n):
         lhs = integrate(fields, fields.lamp * fields.E[..., k])
@@ -174,8 +171,7 @@ def check_isometry() -> CheckResult:
     worst = 0.0
     for r0, a in ((1.0, 0.3), (1.5, 0.6), (0.8, 0.25)):
         graph = generate_shape(AxisymGrid(_J, n=2), "offset_sphere", r0=r0, a=a)
-        W = quermassintegrals(graph)
-        for k, w in enumerate(W):
+        for k, w in enumerate(graph.W):
             exact = ball_profile(graph.n, k, r0)
             worst = max(worst, abs(w - exact) / abs(exact))
     return CheckResult("isometry_invariance", worst <= 1e-6,
@@ -271,15 +267,14 @@ def check_conformal() -> CheckResult:
         generate_shape(AxisymGrid(_J, n=4), "perturbed_sphere", r0=1.2, eps=0.04, l=2),
     ]
     for i, graph in enumerate(cases):
-        fields = geometry_fields(graph)
         image = to_ball(graph)
-        res_max, _ = conf_relation_residual(fields, image)
+        res_max, _ = conf_relation_residual(graph.fields, image)
         if i < 3:
             worst_sphere = max(worst_sphere, res_max)
         else:
             worst_pert = max(worst_pert, res_max)
         worst_margin = min(worst_margin, image_convexity_margin(image))
-        worst_area = max(worst_area, abs(area_identity_check(fields, image).relative_mismatch))
+        worst_area = max(worst_area, abs(area_identity_check(graph.fields, image).relative_mismatch))
     ok = (worst_sphere <= 1e-10 and worst_pert <= 1e-4
           and worst_margin >= -1e-8 and worst_area <= 1e-4)
     return CheckResult("conformal_suite", ok,

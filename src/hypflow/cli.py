@@ -48,10 +48,7 @@ from .hypersurface import (
     RadialGraph,
     ShapeRejectionError,
     generate_shape,
-    geometry_fields,
     hconvexity_margin,
-    inradius,
-    quermassintegrals,
 )
 from .stability import (
     InsufficientDataError,
@@ -132,13 +129,14 @@ def _finite(v) -> bool:
 
 
 #: every numeric config key by path: (integer, lower bound, whether the lower bound
-#: is strict, upper bound); 342 is the largest n whose sphere_area(n) is finite
+#: is strict, upper bound); 342 is the largest n whose sphere_area(n) is finite, and
+#: a sweep forks one process per thread, so 64 keeps a config from forking thousands
 _NUMERIC = {
     "n": (True, 2, False, 342),
     "J": (True, 16, False, None),
     "m": (True, 1, False, None),
     "seed": (True, 0, False, None),
-    "threads": (True, 1, False, None),
+    "threads": (True, 1, False, 64),
     "shape.r0": (False, 0.0, True, None),
     "shape.a": (False, 0.0, False, None),
     "shape.eps": (False, 0.0, False, None),
@@ -302,15 +300,13 @@ def _emit_csv(path: str, lines, failed: Optional[str] = None):
 
 def cmd_quermass(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
     graph = cfg.shape.build(cfg.build_grid())
-    fields = geometry_fields(graph)
-    W = quermassintegrals(graph, fields)
-    d = deficit(graph, cfg.m, fields)
-    inr = inradius(graph)
+    d = deficit(graph, cfg.m)
+    inr = graph.inball
     print(f"shape: {cfg.shape.label()}  backend={cfg.backend} n={cfg.n} J={cfg.J} m={cfg.m}")
-    for k, w in enumerate(W):
+    for k, w in enumerate(graph.W):
         print(f"W{k} = {_g17(w)}")
     print(f"deficit = {_g17(d.value)}  (raw {_g17(d.raw)}, ball radius {_g17(d.ball_radius)})")
-    print(f"hconvexity_margin = {_g17(hconvexity_margin(fields))}")
+    print(f"hconvexity_margin = {_g17(hconvexity_margin(graph.fields))}")
     print(f"inradius_rho = {_g17(inr.rho)}")
     print(f"inradius_center_norm = {_g17(inr.center_norm())}")
     return EXIT_OK
@@ -386,11 +382,10 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
 
 def cmd_conformal(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
     graph = cfg.shape.build(cfg.build_grid())
-    fields = geometry_fields(graph)
     image = to_ball(graph)
-    res_max, res_l2 = conf_relation_residual(fields, image)
+    res_max, res_l2 = conf_relation_residual(graph.fields, image)
     margin = image_convexity_margin(image)
-    area = area_identity_check(fields, image)
+    area = area_identity_check(graph.fields, image)
     s = image.s
     lines = [
         f"conformal report: {cfg.shape.label()}  backend={cfg.backend} n={cfg.n} J={cfg.J}",
@@ -482,6 +477,11 @@ def main(argv=None) -> int:
         # a value the schema admits but a generator rejects, e.g. a radius
         # whose ball profile leaves the representable range
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a grid the schema admits but memory cannot hold, e.g. the J x J
+        # quadrature matrix at J = 1000000
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

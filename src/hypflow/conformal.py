@@ -76,7 +76,7 @@ def conf_relation_residual(hyp_fields: GeometryFields, image: ConformalImage) ->
     ef = image.fields
     c = image.dphi_normal
     w = image.exp_phi
-    if hyp_fields.graph.backend == "full":
+    if hyp_fields.grid.backend == "full":
         R11 = w * hyp_fields.S_tt - ef.S_tt - c
         R12 = w * hyp_fields.S_tp - ef.S_tp
         R21 = w * hyp_fields.S_pt - ef.S_pt

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,10 +36,7 @@ from .hypersurface import (
     GeometryFields,
     RadialGraph,
     DiscretizationError,
-    geometry_fields,
-    inradius,
     integrate,
-    quermassintegrals,
     traceless_measures,
 )
 from .symfunc import ConeViolationError, quotient_eval, quotient_from_esym
@@ -108,10 +106,11 @@ class FlowState:
     """One point on a flow trajectory plus two frozen initial-data records:
     the quermassintegrals W_init and the inradius rho_minus_init.
 
-    F, the speed and the traceless measures of the state are evaluated at
-    most once, on first use, and shared by the stepper, the stop tests and
-    the trace row. Later states are made with dataclasses.replace, which
-    carries m and the initial-data records over and starts those caches empty.
+    The geometry and the quermassintegrals are the graph's own. F, the speed
+    and the traceless measures of the state are evaluated at most once, on
+    first use, and shared by the stepper, the stop tests and the trace row.
+    Later states are made with dataclasses.replace, which carries m and the
+    initial-data records over and starts those caches empty.
     rhs_evals counts the geometry evaluations step spent to reach the state,
     accumulated like t. The monitors' other bounds come from the first row of
     the run's trace.
@@ -120,8 +119,6 @@ class FlowState:
     graph: RadialGraph
     m: int
     t: float
-    fields: GeometryFields
-    W: np.ndarray
     W_init: np.ndarray
     rho_minus_init: float
     rhs_evals: int = 0
@@ -131,10 +128,16 @@ class FlowState:
         n = graph.n
         if not 1 <= m <= n - 1:
             raise ValueError(f"m={m} out of range 1..{n - 1}")
-        fields = geometry_fields(graph)
-        W = quermassintegrals(graph, fields)
-        return cls(graph=graph, m=m, t=0.0, fields=fields, W=W, W_init=W.copy(),
-                   rho_minus_init=inradius(graph).rho)
+        return cls(graph=graph, m=m, t=0.0, W_init=graph.W.copy(),
+                   rho_minus_init=graph.inball.rho)
+
+    @property
+    def fields(self) -> GeometryFields:
+        return self.graph.fields
+
+    @property
+    def W(self) -> np.ndarray:
+        return self.graph.W
 
     @cached_property
     def F(self) -> np.ndarray:
@@ -275,9 +278,9 @@ def _stages(state: FlowState, dt: float, c_cfl: float) -> int:
 
 def _advance(state: FlowState, dt: float, filt, s: int, geometry) -> FlowState:
     """Damped RKC2 update of the radii over dt in s stages from the state's
-    own rate, every stage state filtered, with the post-state's geometry and
-    quermassintegrals; no acceptance test. geometry evaluates the fields of
-    a graph (s calls per update)."""
+    own rate, every stage state filtered, with the post-state's geometry; no
+    acceptance test. geometry returns the fields of a graph (s calls per
+    update)."""
     m, graph, y0, f0 = state.m, state.graph, state.graph.r, state.speed[1]
     table = _RKC[s]
     prev, cur = y0, filt(y0 + table.mu1 * dt * f0)
@@ -286,9 +289,8 @@ def _advance(state: FlowState, dt: float, filt, s: int, geometry) -> FlowState:
         prev, cur = cur, filt((1.0 - mu - nu) * y0 + mu * cur + nu * prev
                               + dt * (mu_t * f + gamma_t * f0))
     graph = graph.with_values(cur)
-    fields = geometry(graph)
-    return replace(state, graph=graph, t=state.t + dt, fields=fields,
-                   W=quermassintegrals(graph, fields))
+    geometry(graph)
+    return replace(state, graph=graph, t=state.t + dt)
 
 
 def step(state: FlowState, dt: float, c_cfl: float):
@@ -314,18 +316,18 @@ def step(state: FlowState, dt: float, c_cfl: float):
     def geometry(graph: RadialGraph) -> GeometryFields:
         nonlocal evals
         evals += 1
-        return geometry_fields(graph)
+        return graph.fields
 
     last_err: dict = {}
     for halvings in range(MAX_HALVINGS + 1):
         try:
             new_state = _advance(state, dt, filt, _stages(state, dt, c_cfl), geometry)
+            min_kappa = float(new_state.fields.kappa.min())
+            w_next = float(new_state.W[m + 1])
         except (DiscretizationError, ConeViolationError, ValueError) as exc:
             last_err = {"error": str(exc)}
             dt *= 0.5
             continue
-        min_kappa = float(new_state.fields.kappa.min())
-        w_next = float(new_state.W[m + 1])
         w_prev = float(state.W[m + 1])
         mono_ok = w_next <= w_prev + MONO_TOL * abs(w_prev)
         if min_kappa >= 1.0 - HCONVEX_TOL and mono_ok:
@@ -407,8 +409,9 @@ def _probe_states(state: FlowState, h: float):
     and filter step would use at DEFAULT_CFL (no acceptance logic)."""
     filt = _stage_filter(state.graph.grid, DEFAULT_CFL)
     s = _stages(state, h, DEFAULT_CFL)
-    s1 = _advance(state, h, filt, s, geometry_fields)
-    return state, s1, _advance(s1, h, filt, s, geometry_fields)
+    fields = attrgetter("fields")
+    s1 = _advance(state, h, filt, s, fields)
+    return state, s1, _advance(s1, h, filt, s, fields)
 
 
 @dataclass
@@ -447,7 +450,7 @@ def _surface_christoffel_full(fields: GeometryFields):
     """Christoffel symbols of the induced metric on the 2-sphere backend,
     assembled from analytic derivatives of g_ij = r_i r_j + lam^2 sigma_ij."""
     g = fields
-    grid = g.graph.grid
+    grid = g.grid
     sin_t, cos_t = grid.sin_t, grid.cos_t
     lam, lamp, r = g.lam, g.lamp, g.r
     rt, rp, rtt, rtp, rpp = g.rt, g.rp, g.rtt, g.rtp, g.rpp

@@ -18,6 +18,7 @@ curvature-integral recursion, geodesic-ball profiles, and the inball.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import cosh, exp, factorial, hypot, log, pi, sinh, sqrt
 from typing import Callable, NamedTuple, Optional
 
@@ -75,29 +76,56 @@ class ShapeRejectionError(ValueError):
 class Warp:
     """Warped-product factor of the ambient metric dr^2 + lam(r)^2 dsigma^2."""
 
-    name: str
     lam: Callable[[np.ndarray], np.ndarray]
     lam_prime: Callable[[np.ndarray], np.ndarray]
 
 
-HYPERBOLIC = Warp("hyperbolic", np.sinh, np.cosh)
-EUCLIDEAN = Warp("euclidean", lambda s: np.asarray(s, dtype=float), lambda s: np.ones_like(np.asarray(s, dtype=float)))
+HYPERBOLIC = Warp(np.sinh, np.cosh)
+EUCLIDEAN = Warp(lambda s: np.asarray(s, dtype=float), lambda s: np.ones_like(np.asarray(s, dtype=float)))
 
 
 @dataclass(frozen=True)
 class RadialGraph:
-    """Positive radial sample vector over one of the angular grids."""
+    """Positive radial sample vector over one of the angular grids.
+
+    The graph holds a read-only copy of its radii, so each derived quantity
+    below is evaluated once, on first use, by the module function named in
+    it, and shared by every caller: the hyperbolic geometry, the
+    quermassintegrals, the inball and the node distance evaluator.
+    """
 
     grid: FullSphereGrid | AxisymGrid
     r: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.r, dtype=float)
+        arr = np.array(self.r, dtype=float)
         if arr.shape != self.grid.node_shape():
             raise ValueError(f"radial values have shape {arr.shape}, grid wants {self.grid.node_shape()}")
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
             raise ValueError("radial values must be finite and positive")
+        arr.setflags(write=False)
         object.__setattr__(self, "r", arr)
+
+    def __reduce__(self):
+        # a copy is rebuilt from its radii: the cached evaluator is a closure
+        # pickle cannot write, and unpickled radii would be writable again
+        return RadialGraph, (self.grid, self.r)
+
+    @cached_property
+    def fields(self) -> "GeometryFields":
+        return geometry_fields(self)
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        return quermassintegrals(self)
+
+    @cached_property
+    def inball(self) -> "InradiusResult":
+        return inradius(self)
+
+    @cached_property
+    def extremes(self) -> Callable[[object], tuple[float, float]]:
+        return distance_range(self.grid, self.r)
 
     @property
     def n(self) -> int:
@@ -115,8 +143,7 @@ class RadialGraph:
 class GeometryFields:
     """Pointwise geometry of a radial graph; axis layout follows the grid."""
 
-    graph: RadialGraph
-    warp: Warp
+    grid: FullSphereGrid | AxisymGrid
     r: np.ndarray
     lam: np.ndarray
     lamp: np.ndarray
@@ -142,7 +169,7 @@ class GeometryFields:
 
     @property
     def n(self) -> int:
-        return self.graph.n
+        return self.grid.n
 
 
 def geometry_fields(graph: RadialGraph, warp: Warp = HYPERBOLIC) -> GeometryFields:
@@ -159,7 +186,7 @@ def geometry_fields(graph: RadialGraph, warp: Warp = HYPERBOLIC) -> GeometryFiel
         v, kappa, Atr2, own = grid_fields(grid, r, lam, lamp)
         E = esym_all(kappa)
         fields = GeometryFields(
-            graph=graph, warp=warp, r=r, lam=lam, lamp=lamp, v=v, u=lam / v,
+            grid=grid, r=r, lam=lam, lamp=lamp, v=v, u=lam / v,
             kappa=kappa, E=E, area_density=v * lam ** grid.n, Atr2=Atr2,
             H=grid.n * E[..., 1], **own)
     if not np.isfinite(fields.kappa).all():
@@ -249,7 +276,7 @@ def integrate(fields: GeometryFields, values) -> float:
     values = np.asarray(values, dtype=float)
     if values.shape != fields.area_density.shape:
         raise ValueError("integrand shape does not match the grid")
-    return fields.graph.grid.integrate_sigma(values * fields.area_density)
+    return fields.grid.integrate_sigma(values * fields.area_density)
 
 
 def sinh_power_integral(n: int, r: np.ndarray) -> np.ndarray:
@@ -282,18 +309,14 @@ def _quermass_recursion(n: int, W0: float, int_E) -> np.ndarray:
     return W
 
 
-def quermassintegrals(graph: RadialGraph, fields: GeometryFields | None = None) -> np.ndarray:
+def quermassintegrals(graph: RadialGraph) -> np.ndarray:
     """W_0..W_n of the enclosed domain, via the curvature-integral recursion
     (_quermass_recursion).
 
     Raises DiscretizationError if any W_k is not finite (e.g. sinh^n
     overflowing on a large sphere), rather than returning it.
     """
-    if fields is None:
-        fields = geometry_fields(graph)
-    if fields.warp.name != "hyperbolic":
-        raise ValueError("quermassintegrals are defined for the hyperbolic warp")
-    n = graph.n
+    n, fields = graph.n, graph.fields
     W = _quermass_recursion(n, graph.grid.integrate_sigma(sinh_power_integral(n, graph.r)),
                             [integrate(fields, fields.E[..., k]) for k in range(n)])
     if not np.all(np.isfinite(W)):
@@ -399,7 +422,7 @@ def _offset_sphere(grid, r0: float, a: float) -> RadialGraph:
     q = sa * grid.sin_t
     p = np.copysign(shift, grid.cos_t) + np.arcsinh(np.sqrt(sr - q) * np.sqrt(sr + q)
                                                     / np.hypot(1.0, q))
-    return RadialGraph(grid, np.broadcast_to(p, grid.node_shape()).copy())
+    return RadialGraph(grid, np.broadcast_to(p, grid.node_shape()))
 
 
 def _perturbed_sphere(grid, r0: float, eps: float, l: int, order: int) -> RadialGraph:
@@ -465,7 +488,7 @@ def generate_shape(grid, kind: str, r0: float, hconvex_floor: float = 1.0,
         raise ValueError("\n".join(errors))
     graph = shape.build(grid, r0, **params)
     # a round shape sits on the floor up to rounding
-    margin = hconvexity_margin(geometry_fields(graph)) if shape.hconvex else np.inf
+    margin = hconvexity_margin(graph.fields) if shape.hconvex else np.inf
     if margin < hconvex_floor - 1.0 - HCONVEX_TOL:
         raise ShapeRejectionError(f"{kind.replace('_', ' ')} not h-convex: "
                                   f"min kappa = {1.0 + margin:.6f}", margin=margin)
@@ -489,7 +512,7 @@ def random_hconvex_shape(grid, rng: np.random.Generator) -> RadialGraph:
         r = r0 + scale * bump
         if np.all(r > 0.05):
             graph = RadialGraph(grid, r)
-            if hconvexity_margin(geometry_fields(graph)) >= margin_target:
+            if hconvexity_margin(graph.fields) >= margin_target:
                 return graph
         scale *= 0.7
     return RadialGraph(grid, np.full(grid.node_shape(), r0))
@@ -593,11 +616,10 @@ def inradius(graph: RadialGraph) -> InradiusResult:
 
     Max-min search through search_center, from the origin and a
     center-of-mass proxy; the objective is nonsmooth, hence a simplex search.
-    Trial centers are scored through distance_range, one matrix-vector
-    product each.
+    Trial centers are scored through the graph's distance_range evaluator,
+    one matrix-vector product each.
     """
-    grid, r = graph.grid, graph.r
-    extremes = distance_range(grid, r)
+    grid, r, extremes = graph.grid, graph.r, graph.extremes
 
     def neg_min_distance(center):
         return -extremes(center)[0]

@@ -24,15 +24,10 @@ import numpy as np
 from .flow import FlowTrace
 from .hypersurface import (
     DiscretizationError,
-    InradiusResult,
     RadialGraph,
     ShapeRejectionError,
     ball_profile,
     ball_profile_inverse,
-    distance_range,
-    geometry_fields,
-    inradius,
-    quermassintegrals,
     search_center,
 )
 from .symfunc import quotient_from_esym
@@ -73,14 +68,12 @@ class DeficitResult:
     ball_radius: float
 
 
-def deficit(graph: RadialGraph, m: int, fields=None) -> DeficitResult:
+def deficit(graph: RadialGraph, m: int) -> DeficitResult:
     """W_{m+1}(Omega) minus its value on the ball with the same W_m."""
     n = graph.n
     if not 0 <= m <= n - 1:
         raise ValueError(f"m={m} out of range 0..{n - 1}")
-    if fields is None:
-        fields = geometry_fields(graph)
-    W = quermassintegrals(graph, fields)
+    W = graph.W
     if not W[m] > 0.0:  # positive on every body: the recursion lost its precision
         raise DiscretizationError(f"nonpositive quermassintegral W_{m} = {W[m]:.17g}")
     r_hat = ball_profile_inverse(n, m, float(W[m]))
@@ -103,13 +96,10 @@ class SphereFit:
         return float(np.linalg.norm(self.center))
 
 
-def sphere_fit(graph: RadialGraph, inr: Optional[InradiusResult] = None) -> SphereFit:
+def sphere_fit(graph: RadialGraph) -> SphereFit:
     """Search the center that minimizes the radial gap, from the origin and
-    from the inball center; `inr` is inradius(graph) when the caller
-    already holds it."""
-    if inr is None:
-        inr = inradius(graph)
-    extremes = distance_range(graph.grid, graph.r)
+    from the inball center."""
+    inr, extremes = graph.inball, graph.extremes
 
     def gap(center):
         lo, hi = extremes(center)
@@ -176,23 +166,21 @@ def _sweep_one(family: Callable[[float], RadialGraph], m: int, eps: float):
         graph = family(eps)
     except ShapeRejectionError as exc:
         return ("rejected", eps, str(exc))
-    fields = geometry_fields(graph)
-    F = quotient_from_esym(m, fields.E)
-    defres = deficit(graph, m, fields)
+    F = quotient_from_esym(m, graph.fields.E)
+    defres = deficit(graph, m)
     if defres.raw < -_CLAMP_REL * max(abs(defres.W_m1), 1.0):
         return ("rejected", eps, f"deficit {defres.raw:.3e} below clamp window")
-    inr = inradius(graph)
     if eps == 0.0:
         dist = ratio = ratio3 = 0.0
     else:
-        dist = sphere_fit(graph, inr).cheb
+        dist = sphere_fit(graph).cheb
         d = defres.value
         ratio = dist / d ** (1.0 / (m + 2)) if d > 0.0 else 0.0
         ratio3 = dist / d ** (1.0 / 3.0) if d > 0.0 else 0.0
     rec = SweepRecord(
         eps=eps, deficit=defres.value, dist=dist,
         ratio=ratio, ratio3=ratio3, minF=float(F.min()), maxF=float(F.max()),
-        maxH=float(fields.H.max()), rho_minus=inr.rho,
+        maxH=float(graph.fields.H.max()), rho_minus=graph.inball.rho,
     )
     return ("ok", eps, rec)
 

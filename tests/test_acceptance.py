@@ -145,9 +145,8 @@ class TestDeficitSign:
         evaluations = 0
         for graph in shapes:
             n = graph.n
-            fields = geometry_fields(graph)
             for m in range(1, n):  # every admissible order for this shape
-                d = deficit(graph, m, fields)
+                d = deficit(graph, m)
                 assert d.raw >= -1e-6 * max(abs(d.W_m1), 1.0)
                 assert d.value >= 0.0
                 evaluations += 1

@@ -144,6 +144,13 @@ class TestParseConfig:
                                     "sweep.eps_list[3]: must be finite",
                                     "threads: must be finite"]
 
+    def test_threads_bounded(self):
+        # a sweep forks one worker per thread and per member, up to this bound
+        assert parse_config(dict(SWEEP_CFG, threads=64), "sweep").threads == 64
+        with pytest.raises(ConfigError) as exc:
+            parse_config(dict(SWEEP_CFG, threads=5000), "sweep")
+        assert exc.value.errors == ["threads: must be <= 64, got 5000"]
+
     def test_shape_key_sets_are_strict(self):
         with pytest.raises(ConfigError, match="shape.a: unknown key"):
             parse_config({"n": 2, "backend": "axisym", "J": 32, "m": 1,
@@ -332,6 +339,20 @@ class TestMainQuermass:
         assert code == EXIT_NUMERICAL
         assert capfd.readouterr().err.splitlines() == [
             "numerical failure: int too large to convert to float"]
+
+    def test_unallocatable_grid_exits_config(self, tmp_path, capfd, monkeypatch):
+        # at J = 1000000 the grid's quadrature matrix needs 7.28 TiB; the
+        # builder raises NumPy's message here instead of allocating
+        message = ("Unable to allocate 7.28 TiB for an array with shape "
+                   "(1000000, 999999) and data type float64")
+
+        def unallocatable(J, n):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, "AxisymGrid", unallocatable)
+        cfg = write_config(tmp_path, {"n": 2, "m": 1, "backend": "axisym", "J": 1000000,
+                                      "shape": {"kind": "sphere", "r0": 1.0}})
+        assert main(["quermass", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capfd.readouterr().err.splitlines() == [f"config error: {message}"]
 
     def test_huge_l_exits_config(self, tmp_path, capfd):
         # before the bound, l = 100000 ran out of memory and l = 1e20 failed
@@ -544,6 +565,26 @@ class TestMainConformal:
         assert capfd.readouterr().err.splitlines() == [
             "numerical failure: conformal image reaches the ball's boundary: "
             "2 tanh(r/2) rounds to 2 at r = 100"]
+
+
+class TestOneEvaluationPerGraph:
+    """Each command evaluates the geometry of its input graph once."""
+
+    @pytest.mark.parametrize("command", ["quermass", "conformal"])
+    def test_static_commands(self, tmp_path, count_calls, command):
+        graphs = count_calls("geometry_fields")
+        raw = {"n": 2, "backend": "axisym", "J": 32,
+               "shape": {"kind": "perturbed_sphere", "r0": 1.0, "eps": 0.1, "l": 2}}
+        cfg = write_config(tmp_path, dict(raw, m=1) if command == "quermass" else raw)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert sum(g is graphs[0] for g in graphs) == 1
+
+    def test_flow_initial_graph(self, tmp_path, count_calls):
+        # the shape check, the initial state and the dissipation check share it
+        graphs = count_calls("geometry_fields")
+        cfg = write_config(tmp_path, FLOW_CFG)
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert sum(g is graphs[0] for g in graphs) == 1
 
 
 @st.composite

@@ -118,5 +118,6 @@ class TestPerturbedImages:
 
     def test_image_uses_euclidean_warp(self):
         _, image = _image_and_fields(AxisymGrid(32, 2), "sphere", 1.0)
-        assert image.fields.warp.name == "euclidean"
+        assert np.array_equal(image.fields.lam, image.s)
+        assert np.all(image.fields.lamp == 1.0)
         assert np.all(image.exp_phi >= 1.0)

@@ -271,15 +271,9 @@ class TestStepSizePolicy:
         fine = np.abs(ends[1] - ends[2]).max()
         assert 3.5 <= coarse / fine <= 4.5
 
-    def test_rhs_evals_count_every_geometry_call(self, monkeypatch):
-        calls = []
-
-        def counted(graph):
-            calls.append(graph)
-            return geometry_fields(graph)
-
+    def test_rhs_evals_count_every_geometry_call(self, count_calls):
         st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
-        monkeypatch.setattr(flow, "geometry_fields", counted)
+        calls = count_calls("geometry_fields")
         _, trace = run(st, t_max=0.05)
         assert trace.rhs_evals == len(calls) == 24
         # rejected attempts count too

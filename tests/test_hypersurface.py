@@ -8,6 +8,7 @@ Oracles used here:
     computed once from the closed profile formulas and pinned.
 """
 
+import pickle
 import warnings
 
 import mpmath
@@ -472,6 +473,26 @@ class TestValidation:
                     warnings.simplefilter("error")
                     with pytest.raises(DiscretizationError, match=message):
                         geometry_fields(RadialGraph(grid, np.full(grid.node_shape(), r0)))
+
+    def test_radii_are_read_only(self):
+        # a cached quantity of the graph cannot go stale
+        grid = AxisymGrid(16, 2)
+        source = np.full(grid.node_shape(), 1.0)
+        graph = RadialGraph(grid, source)
+        H = graph.fields.H.copy()
+        with pytest.raises(ValueError):
+            graph.r[0] = 2.0
+        source[0] = 2.0
+        assert np.all(graph.r == 1.0)
+        assert np.array_equal(graph.fields.H, H)
+        assert np.array_equal(geometry_fields(graph).H, H)
+
+    def test_pickled_graph_is_rebuilt(self):
+        graph = generate_shape(AxisymGrid(16, 2), "perturbed_sphere", 1.0, eps=0.05, l=2)
+        graph.inball  # caches the distance evaluator, a closure
+        copy = pickle.loads(pickle.dumps(graph))
+        assert np.array_equal(copy.r, graph.r) and not copy.r.flags.writeable
+        assert copy.inball.rho == graph.inball.rho
 
     def test_graph_shape_mismatch(self):
         grid = AxisymGrid(32, 2)

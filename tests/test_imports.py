@@ -302,3 +302,37 @@ def undeclared_attribute_stores() -> list:
 
 def test_every_attribute_store_is_declared():
     assert undeclared_attribute_stores() == []
+
+
+#: what a RadialGraph evaluates once, on first use, and shares with every caller
+ONCE_PER_GRAPH = frozenset({"geometry_fields", "quermassintegrals", "inradius",
+                            "distance_range"})
+
+#: (module, top-level definition, callee) allowed outside RadialGraph: the
+#: Euclidean geometry of the conformal image, which is no hyperbolic graph's own
+EVALUATION_EXEMPT = {("conformal", "to_ball", "geometry_fields")}
+
+
+def evaluations_outside_the_graph() -> list:
+    """Calls in the package to a function of ONCE_PER_GRAPH made anywhere but
+    in the body of RadialGraph; a second call evaluates the same quantity of
+    the same graph again."""
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            if owner == "RadialGraph":
+                continue
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ONCE_PER_GRAPH and (path.stem, owner, name) not in EVALUATION_EXEMPT:
+                    hits.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return hits
+
+
+def test_derived_quantities_are_evaluated_by_the_graph():
+    assert evaluations_outside_the_graph() == []

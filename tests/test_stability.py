@@ -112,14 +112,6 @@ class TestSphereFit:
         assert inradius(graph).center_norm() == 0.0
         assert sphere_fit(graph).center_norm() == 0.0
 
-    @pytest.mark.parametrize("grid", [AxisymGrid(48, 2), FullSphereGrid(24)],
-                             ids=["axisym", "full"])
-    def test_given_inradius_gives_same_fit(self, grid):
-        graph = generate_shape(grid, "perturbed_sphere", 1.0, eps=0.03, l=3)
-        own, given = sphere_fit(graph), sphere_fit(graph, inradius(graph))
-        assert np.array_equal(own.center, given.center)
-        assert (own.radius, own.cheb) == (given.radius, given.cheb)
-
 
 class TestSweep:
     def test_records_sorted_and_conventions(self):
@@ -141,24 +133,27 @@ class TestSweep:
         assert len(res.rejections) == 1
         assert res.rejections[0][0] == 0.8
 
-    def test_one_inradius_per_member(self, monkeypatch):
+    def test_one_inradius_per_member(self, count_calls):
         # sphere_fit reuses the member's inradius for its starts and rhoMinus
-        calls = []
-
-        def counted(graph):
-            calls.append(graph)
-            return inradius(graph)
-        monkeypatch.setattr(stability, "inradius", counted)
+        calls = count_calls("inradius")
         # in-process: a call made in a sweep's worker process never reaches `calls`
         fam = perturbed_family(AxisymGrid(32, 2))
         statuses = [stability._sweep_one(fam, 1, eps)[0] for eps in [0.0, 0.05, 0.1, 0.8]]
         assert statuses == ["ok", "ok", "ok", "rejected"]
         assert len(calls) == 3
 
+    def test_one_geometry_and_node_matrix_per_member(self, count_calls):
+        # the shape check, F, the deficit and maxH share one geometry; the
+        # inradius and the sphere fit share one distance evaluator
+        geometry, nodes = count_calls("geometry_fields"), count_calls("distance_range")
+        status, _, _ = stability._sweep_one(perturbed_family(AxisymGrid(32, 2)), 1, 0.05)
+        assert status == "ok"
+        assert (len(geometry), len(nodes)) == (1, 1)
+
     def test_clamp_window_rejection(self, monkeypatch):
         from hypflow.stability import DeficitResult
         monkeypatch.setattr(stability, "deficit",
-                            lambda g, m, fields=None: DeficitResult(
+                            lambda g, m: DeficitResult(
                                 value=0.0, raw=-1.0, W_m=5.0, W_m1=5.0, ball_radius=1.0))
         status, eps, payload = stability._sweep_one(
             perturbed_family(AxisymGrid(32, 2)), 1, 0.05)
