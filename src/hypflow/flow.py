@@ -103,33 +103,27 @@ def _speed(fields: GeometryFields, F: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 @dataclass
 class FlowState:
-    """One point on a flow trajectory plus two frozen initial-data records:
-    the quermassintegrals W_init and the inradius rho_minus_init.
+    """One point on a flow trajectory plus the frozen initial quermassintegrals
+    W_init.
 
     The geometry and the quermassintegrals are the graph's own. F, the speed
     and the traceless measures of the state are evaluated at most once, on
     first use, and shared by the stepper, the stop tests and the trace row.
-    Later states are made with dataclasses.replace, which carries m and the
-    initial-data records over and starts those caches empty.
-    rhs_evals counts the geometry evaluations step spent to reach the state,
-    accumulated like t. The monitors' other bounds come from the first row of
-    the run's trace.
+    Later states are made with dataclasses.replace, which carries m and W_init
+    over and starts those caches empty.
     """
 
     graph: RadialGraph
     m: int
     t: float
     W_init: np.ndarray
-    rho_minus_init: float
-    rhs_evals: int = 0
 
     @classmethod
     def create(cls, graph: RadialGraph, m: int) -> "FlowState":
         n = graph.n
         if not 1 <= m <= n - 1:
             raise ValueError(f"m={m} out of range 1..{n - 1}")
-        return cls(graph=graph, m=m, t=0.0, W_init=graph.W.copy(),
-                   rho_minus_init=graph.inball.rho)
+        return cls(graph=graph, m=m, t=0.0, W_init=graph.W.copy())
 
     @property
     def fields(self) -> GeometryFields:
@@ -157,10 +151,9 @@ class FlowState:
 
 @dataclass
 class FlowTrace:
-    """Per-accepted-step monitor history; first row is the initial state."""
+    """The run's record: one row per accepted step, the first row the initial
+    state, each a dict keyed by CSV column name in CSV order (_trace_row)."""
 
-    n: int
-    m: int
     rows: list = field(default_factory=list)
     flags: list = field(default_factory=list)        # (t, monitor name)
     stop_reason: str = ""
@@ -168,18 +161,15 @@ class FlowTrace:
     rhs_evals: int = 0     # geometry evaluations while stepping, rejected attempts included
 
     def header(self) -> str:
-        ws = ",".join(f"W{k}" for k in range(self.n + 1))
-        return (f"t,dt,{ws},minF,maxF,minH,maxH,minr,maxr,minu,"
-                "AtrL2,AtrMax,minKappaMinus1,cumDeficitIntegral")
+        return ",".join(self.rows[0])
 
     def csv_lines(self):
         yield self.header()
         for row in self.rows:
-            yield ",".join(f"{x:.17g}" for x in row)
+            yield ",".join(f"{x:.17g}" for x in row.values())
 
     def column(self, name: str) -> np.ndarray:
-        names = self.header().split(",")
-        return np.array([row[names.index(name)] for row in self.rows])
+        return np.array([row[name] for row in self.rows])
 
     @property
     def flag_count(self) -> int:
@@ -194,38 +184,38 @@ def _deficit_integrand_value(fields: GeometryFields, m: int) -> float:
     return integrate(fields, val)
 
 
-def _trace_row(state: FlowState, dt: float, cum: float) -> tuple[list, dict]:
+def _trace_row(state: FlowState, dt: float, cum: float) -> dict:
+    """The CSV row of a state: the one place the trace's columns are named."""
     fields = state.fields
     l2, sup = state.traceless
-    scalars = {
+    return {
+        "t": state.t, "dt": dt,
+        **{f"W{k}": float(w) for k, w in enumerate(state.W)},
         "minF": float(state.F.min()), "maxF": float(state.F.max()),
         "minH": float(fields.H.min()), "maxH": float(fields.H.max()),
         "minr": float(state.graph.r.min()), "maxr": float(state.graph.r.max()),
-        "minu": float(fields.u.min()), "maxu": float(fields.u.max()),
+        "minu": float(fields.u.min()),
+        "AtrL2": l2, "AtrMax": sup,
         "minKappaMinus1": float(fields.kappa.min() - 1.0),
+        "cumDeficitIntegral": cum,
     }
-    row = ([state.t, dt] + [float(w) for w in state.W]
-           + [scalars["minF"], scalars["maxF"], scalars["minH"], scalars["maxH"],
-              scalars["minr"], scalars["maxr"], scalars["minu"],
-              l2, sup, scalars["minKappaMinus1"], cum])
-    return row, scalars
 
 
 _MONITOR_TOL = 1e-8
 
 
-def _monitor_flags(state: FlowState, scalars: dict, first: dict) -> list:
-    """A priori bounds against the scalars of the run's first row and the
-    initial inradius; each violation is reported, never enforced."""
-    u_floor = min(first["minu"], np.sinh(state.rho_minus_init))
+def _monitor_flags(state: FlowState, row: dict, first: dict, rho: float) -> list:
+    """A priori bounds against the run's first row and the inradius rho of
+    the run's first state; each violation is reported, never enforced."""
+    u_floor = min(first["minu"], np.sinh(rho))
     checks = [
-        ("F_lower", scalars["minF"] < 1.0 - _MONITOR_TOL),
-        ("F_upper", scalars["maxF"] > first["maxF"] + _MONITOR_TOL),
-        ("H_lower", scalars["minH"] < state.graph.n - _MONITOR_TOL),
-        ("r_lower", scalars["minr"] < first["minr"] - _MONITOR_TOL),
-        ("r_upper", scalars["maxr"] > first["maxr"] + _MONITOR_TOL),
-        ("u_lower", scalars["minu"] < u_floor - _MONITOR_TOL),
-        ("u_upper", scalars["maxu"] > np.exp(state.rho_minus_init) + _MONITOR_TOL),
+        ("F_lower", row["minF"] < 1.0 - _MONITOR_TOL),
+        ("F_upper", row["maxF"] > first["maxF"] + _MONITOR_TOL),
+        ("H_lower", row["minH"] < state.graph.n - _MONITOR_TOL),
+        ("r_lower", row["minr"] < first["minr"] - _MONITOR_TOL),
+        ("r_upper", row["maxr"] > first["maxr"] + _MONITOR_TOL),
+        ("u_lower", row["minu"] < u_floor - _MONITOR_TOL),
+        ("u_upper", float(state.fields.u.max()) > np.exp(rho) + _MONITOR_TOL),
     ]
     return [name for name, bad in checks if bad]
 
@@ -299,8 +289,8 @@ def step(state: FlowState, dt: float, c_cfl: float):
     c_cfl is the CFL fraction dt was chosen with; it sets the stage filter
     (see _stage_filter) and, with dt, the stage count of each attempt.
 
-    Returns (new_state, dt_used, halvings); new_state.rhs_evals adds the
-    geometry evaluations of every attempt. Acceptance requires finite
+    Returns (new_state, dt_used, halvings, evals); evals counts the geometry
+    evaluations of every attempt. Acceptance requires finite
     geometry, min kappa >= 1 - 1e-8, and relative W_{m+1} increase below
     1e-10. These mirror the flow's exact invariants, so rejection signals a
     step too long for the stability limit or for the discrete W_{m+1}, which
@@ -331,8 +321,7 @@ def step(state: FlowState, dt: float, c_cfl: float):
         w_prev = float(state.W[m + 1])
         mono_ok = w_next <= w_prev + MONO_TOL * abs(w_prev)
         if min_kappa >= 1.0 - HCONVEX_TOL and mono_ok:
-            new_state.rhs_evals = state.rhs_evals + evals
-            return new_state, dt, halvings
+            return new_state, dt, halvings, evals
         last_err = {"min_kappa": min_kappa, "W_next": w_next, "W_prev": w_prev}
         dt *= 0.5
     raise StepFailureError(
@@ -357,14 +346,14 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
     if not 0.0 < c_cfl <= MAX_CFL:
         raise ValueError(f"c_cfl must lie in (0, {MAX_CFL}]")
     m = state.m
-    trace = FlowTrace(n=state.graph.n, m=m)
-    evals0 = state.rhs_evals
+    trace = FlowTrace()
     dt_rise = np.inf   # longest dt the last W_{m+1} rise rate allows
     cum = 0.0
     deficit_rate = _deficit_integrand_value(state.fields, m)
-    row, first = _trace_row(state, 0.0, cum)
-    trace.rows.append(row)
-    trace.flags.extend((state.t, name) for name in _monitor_flags(state, first, first))
+    rho = state.graph.inball.rho
+    first = _trace_row(state, 0.0, cum)
+    trace.rows.append(first)
+    trace.flags.extend((state.t, name) for name in _monitor_flags(state, first, first, rho))
 
     for _ in range(max_steps):
         if tol_stop > 0.0 and state.traceless[1] < tol_stop:
@@ -380,21 +369,21 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
                  t_max - state.t)
         w_prev = float(state.W[m + 1])
         try:
-            state, dt_used, halvings = step(state, dt, c_cfl)
+            state, dt_used, halvings, evals = step(state, dt, c_cfl)
         except StepFailureError as exc:
             trace.rhs_evals += exc.rhs_evals
             exc.partial_trace = trace
             raise
         trace.rejections += halvings
-        trace.rhs_evals = state.rhs_evals - evals0
+        trace.rhs_evals += evals
         rise = (float(state.W[m + 1]) - w_prev) / (abs(w_prev) * dt_used)
         dt_rise = 0.9 * MONO_TOL / rise if rise > 0.0 else np.inf
         rate_new = _deficit_integrand_value(state.fields, m)
         cum += 0.5 * dt_used * (deficit_rate + rate_new)
         deficit_rate = rate_new
-        row, scalars = _trace_row(state, dt_used, cum)
+        row = _trace_row(state, dt_used, cum)
         trace.rows.append(row)
-        trace.flags.extend((state.t, name) for name in _monitor_flags(state, scalars, first))
+        trace.flags.extend((state.t, name) for name in _monitor_flags(state, row, first, rho))
     else:
         trace.stop_reason = "max_steps"
     return state, trace

@@ -313,15 +313,19 @@ def quermassintegrals(graph: RadialGraph) -> np.ndarray:
     """W_0..W_n of the enclosed domain, via the curvature-integral recursion
     (_quermass_recursion).
 
-    Raises DiscretizationError if any W_k is not finite (e.g. sinh^n
-    overflowing on a large sphere), rather than returning it.
+    Every W_k of an h-convex body is positive, so a W_k that is not positive
+    and finite (sinh^n overflowing on a large sphere, or the recursion losing
+    its precision at large n) raises DiscretizationError rather than being
+    returned.
     """
     n, fields = graph.n, graph.fields
     W = _quermass_recursion(n, graph.grid.integrate_sigma(sinh_power_integral(n, graph.r)),
                             [integrate(fields, fields.E[..., k]) for k in range(n)])
-    if not np.all(np.isfinite(W)):
-        k = int(np.argmin(np.isfinite(W)))
-        raise DiscretizationError(f"non-finite quermassintegral W_{k} = {W[k]}")
+    ok = (W > 0.0) & (W < np.inf)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise DiscretizationError(f"nonpositive or non-finite quermassintegral "
+                                  f"W_{k} = {W[k]:.17g}")
     return W
 
 

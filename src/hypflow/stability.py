@@ -23,7 +23,6 @@ import numpy as np
 
 from .flow import FlowTrace
 from .hypersurface import (
-    DiscretizationError,
     RadialGraph,
     ShapeRejectionError,
     ball_profile,
@@ -74,8 +73,6 @@ def deficit(graph: RadialGraph, m: int) -> DeficitResult:
     if not 0 <= m <= n - 1:
         raise ValueError(f"m={m} out of range 0..{n - 1}")
     W = graph.W
-    if not W[m] > 0.0:  # positive on every body: the recursion lost its precision
-        raise DiscretizationError(f"nonpositive quermassintegral W_{m} = {W[m]:.17g}")
     r_hat = ball_profile_inverse(n, m, float(W[m]))
     raw = float(W[m + 1] - ball_profile(n, m + 1, r_hat))
     value = raw if raw > 0.0 else 0.0

@@ -20,9 +20,12 @@ from hypflow.cli import (
     main,
     parse_config,
 )
-from hypflow.flow import FlowTrace, StepFailureError
+from hypflow.flow import FlowState, FlowTrace, StepFailureError, run
 from hypflow.grids import AxisymGrid, FullSphereGrid
 from hypflow.hypersurface import DiscretizationError, generate_shape
+from hypflow.stability import SweepRecord
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -377,13 +380,28 @@ class TestMainQuermass:
                 "config error: shape.l: must be < J/2 (8) for the grid to resolve it, got 8"]
 
     def test_nonpositive_quermassintegral_exits_numerical(self, tmp_path, capfd):
-        # the recursion cancels at n = 342: W_200 of this body comes out negative
+        # the recursion cancels at n = 342: W_0 of this body is the first of
+        # its quermassintegrals to come out negative
         cfg = write_config(tmp_path, {"n": 342, "m": 200, "backend": "axisym", "J": 16,
                                       "shape": {"kind": "offset_sphere", "r0": 1.0, "a": 0.1}})
         assert main(["quermass", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("numerical failure: nonpositive quermassintegral W_200 = ")
+        assert err[0].startswith(
+            "numerical failure: nonpositive or non-finite quermassintegral W_0 = ")
+
+    @pytest.mark.parametrize("n, m, r0, k", [(174, 1, 1.0, 173), (20, 19, 1e-3, 0)])
+    def test_nonpositive_quermassintegral_of_any_order_exits_numerical(
+            self, tmp_path, capfd, n, m, r0, k):
+        # these spheres printed W_173 = -9.4e-59 and W_0 = -5.5e-21 with exit 0,
+        # since only the deficit's own W_m was checked
+        cfg = write_config(tmp_path, {"n": n, "m": m, "backend": "axisym", "J": 16,
+                                      "shape": {"kind": "sphere", "r0": r0}})
+        assert main(["quermass", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"numerical failure: nonpositive or non-finite quermassintegral W_{k} = -")
 
     def test_unresolved_offset_sphere_exits_numerical(self, tmp_path, capsys):
         # a geodesic sphere of radius 1 has margin coth 1 - 1 ~ 0.313; at J=16
@@ -453,8 +471,8 @@ class TestMainFlow:
         def exploding_run(state, **kw):
             err = StepFailureError("synthetic blow-up", t=0.01, dt=1e-5,
                                    diagnostics={"reason": "test"})
-            trace = FlowTrace(n=2, m=1)
-            trace.rows.append([0.0] * len(trace.header().split(",")))
+            trace = FlowTrace()
+            trace.rows.append({"t": 0.0, "dt": 0.0, "W0": 1.0})
             err.partial_trace = trace
             raise err
         monkeypatch.setattr(cli, "run", exploding_run)
@@ -663,3 +681,21 @@ class TestMainPlumbing:
         monkeypatch.setattr(cli, "run_verify",
                             lambda seed=0: [CheckResult("alpha", True, "ok", 0.0)])
         assert main(["verify"]) == EXIT_OK
+
+
+class TestReadmeOutputs:
+    @staticmethod
+    def documented_header(artifact):
+        """The header line README's "Outputs" section gives for an artifact."""
+        text = README.read_text(encoding="utf-8")
+        outputs = text.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
+        return outputs.split(f"`{artifact}`", 1)[1].split("```\n", 2)[1].strip()
+
+    def test_flow_trace_header_documented(self):
+        _, trace = run(FlowState.create(generate_shape(AxisymGrid(16, 2), "sphere", 1.0), 1),
+                       t_max=1.0)
+        documented = self.documented_header("flow_trace.csv")
+        assert documented.replace("W0,...,Wn", "W0,W1,W2") == trace.header()
+
+    def test_sweep_header_documented(self):
+        assert self.documented_header("sweep.csv") == SweepRecord.csv_header()

@@ -19,7 +19,6 @@ from hypflow.flow import (
     MAX_CFL,
     MONO_TOL,
     FlowState,
-    FlowTrace,
     StepFailureError,
     cfl_dt,
     normal_speed,
@@ -92,7 +91,7 @@ class TestStep:
     def test_plain_step_advances_time(self):
         st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
         dt = cfl_dt(st)
-        new, dt_used, halvings = step(st, dt, DEFAULT_CFL)
+        new, dt_used, halvings, _ = step(st, dt, DEFAULT_CFL)
         assert halvings == 0
         assert dt_used == dt
         assert new.t == pytest.approx(dt)
@@ -101,7 +100,7 @@ class TestStep:
     def test_oversized_step_halves_until_accepted(self):
         st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
         with np.errstate(all="ignore"):
-            new, dt_used, halvings = step(st, 50.0, DEFAULT_CFL)
+            new, dt_used, halvings, _ = step(st, 50.0, DEFAULT_CFL)
         assert halvings > 0
         assert dt_used == pytest.approx(50.0 / 2 ** halvings)
         assert new.fields.kappa.min() >= 1.0 - HCONVEX_TOL
@@ -144,11 +143,15 @@ class TestRunStopsAndTrace:
                 run(st, t_max=1.0, c_cfl=bad)
 
     def test_header_exact(self):
-        assert FlowTrace(n=2, m=1).header() == (
+        # a sphere stops on its first row, which names the columns
+        _, trace = run(make_state(AxisymGrid(32, 2), "sphere", 1.0), t_max=1.0)
+        assert trace.header() == (
             "t,dt,W0,W1,W2,minF,maxF,minH,maxH,minr,maxr,minu,"
             "AtrL2,AtrMax,minKappaMinus1,cumDeficitIntegral"
         )
-        assert FlowTrace(n=4, m=2).header().split(",")[2:7] == ["W0", "W1", "W2", "W3", "W4"]
+        _, trace = run(make_state(AxisymGrid(32, 4), "sphere", 1.0, m=2), t_max=1.0)
+        assert len(trace.rows) == 1
+        assert trace.header().split(",")[2:7] == ["W0", "W1", "W2", "W3", "W4"]
 
     def test_csv_lines_format(self):
         _, trace = run(make_state(AxisymGrid(32, 2), eps=0.1, l=2), t_max=0.005)
@@ -161,13 +164,13 @@ class TestRunStopsAndTrace:
             vals = [float(x) for x in ln.split(",")]
             assert len(vals) == ncol and all(np.isfinite(vals))
         # 17 significant digits survive the round trip
-        assert float(lines[2].split(",")[0]) == trace.rows[1][0]
+        assert float(lines[2].split(",")[0]) == trace.rows[1]["t"]
 
     def test_column_accessor(self):
         _, trace = run(make_state(AxisymGrid(32, 2), eps=0.1, l=2), t_max=0.01)
         t = trace.column("t")
         assert t[0] == 0.0 and np.all(np.diff(t) > 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(KeyError):
             trace.column("nope")
 
     def test_partial_trace_attached_on_failure(self, monkeypatch):
@@ -217,30 +220,46 @@ class TestShortRuns:
 
 
 class TestMonitors:
-    # the bounds are the scalars of the run's first row
+    # the bounds are the run's first row and its first state's inradius
     def test_u_drop_flags(self):
         st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
-        _, first = flow._trace_row(st, 0.0, 0.0)
-        scalars = {"minF": 1.5, "maxF": first["maxF"], "minH": 5.0, "maxH": 5.0,
-                   "minr": 1.0, "maxr": 1.1, "minu": first["minu"] - 1.0,
-                   "maxu": np.sinh(1.1)}
-        names = flow._monitor_flags(st, scalars, first)
+        first = flow._trace_row(st, 0.0, 0.0)
+        row = {"minF": 1.5, "maxF": first["maxF"], "minH": 5.0, "maxH": 5.0,
+               "minr": 1.0, "maxr": 1.1, "minu": first["minu"] - 1.0}
+        names = flow._monitor_flags(st, row, first, st.graph.inball.rho)
         assert "u_lower" in names
 
     def test_quiet_on_initial_scalars(self):
         st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
-        _, first = flow._trace_row(st, 0.0, 0.0)
-        assert flow._monitor_flags(st, first, first) == []
+        first = flow._trace_row(st, 0.0, 0.0)
+        assert flow._monitor_flags(st, first, first, st.graph.inball.rho) == []
 
     def test_f_bounds_flag(self):
         st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
-        _, first = flow._trace_row(st, 0.0, 0.0)
+        first = flow._trace_row(st, 0.0, 0.0)
+        rho = st.graph.inball.rho
         bad = dict(first)
         bad["minF"] = 0.5
-        assert "F_lower" in flow._monitor_flags(st, bad, first)
+        assert "F_lower" in flow._monitor_flags(st, bad, first, rho)
         bad = dict(first)
         bad["maxF"] = first["maxF"] + 1.0
-        assert "F_upper" in flow._monitor_flags(st, bad, first)
+        assert "F_upper" in flow._monitor_flags(st, bad, first, rho)
+
+
+    def test_inradius_evaluated_once_by_run(self, count_calls):
+        graph = generate_shape(AxisymGrid(32, 2), "perturbed_sphere", 1.0, eps=0.1, l=2)
+        calls = count_calls("inradius")
+        st = FlowState.create(graph, 1)
+        assert calls == []
+        run(st, t_max=0.01)
+        assert len(calls) == 1 and calls[0] is graph
+
+    def test_run_from_later_state_reads_its_inball(self, count_calls):
+        st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
+        new = step(st, cfl_dt(st), DEFAULT_CFL)[0]
+        calls = count_calls("inradius")
+        run(new, t_max=1.0, max_steps=1)
+        assert len(calls) == 1 and calls[0] is new.graph
 
 
 class TestStepSizePolicy:
@@ -249,7 +268,7 @@ class TestStepSizePolicy:
         st = make_state(FullSphereGrid(32), eps=0.05, l=2, order=2)
         final, trace = run(st, t_max=DEFAULT_T_MAX, c_cfl=DEFAULT_CFL, max_steps=1)
         dt = trace.column("dt")[1]
-        new, _, _ = step(st, dt, DEFAULT_CFL)
+        new, _, _, _ = step(st, dt, DEFAULT_CFL)
         assert trace.stop_reason == "max_steps"
         assert np.array_equal(new.graph.r, final.graph.r)
         # and the cutoff acts: the looser cutoff of a smaller fraction lands elsewhere
@@ -279,9 +298,9 @@ class TestStepSizePolicy:
         # rejected attempts count too
         calls.clear()
         with np.errstate(all="ignore"):
-            new, _, halvings = step(st, 50.0, DEFAULT_CFL)
+            _, _, halvings, evals = step(st, 50.0, DEFAULT_CFL)
         assert halvings > 0
-        assert new.rhs_evals == len(calls)
+        assert evals == len(calls)
 
     def test_quotient_evaluated_once_per_geometry_evaluation(self, monkeypatch):
         # F is read from each state's cache: one quotient per geometry

@@ -266,7 +266,7 @@ class TestProofTrace:
         pre = run(FlowState.create(g, 1), t_max=30.0)
         rep = proof_trace_check(g, 1, pre[1])
         rep2 = proof_trace_check(g, 1, pre[1])
-        assert rep.cum_integral == rep2.cum_integral == float(pre[1].rows[-1][-1])
+        assert rep.cum_integral == rep2.cum_integral == float(pre[1].rows[-1]["cumDeficitIntegral"])
         assert rep.relative_residual < 1e-3
 
     def test_truncated_run_reports_skipped(self):
