@@ -11,9 +11,7 @@ Shampine & Verwer, J. Comput. Appl. Math. 88, 1998). Its real stability
 interval beta(s) grows like s^2 with the stage count s, so run proposes
 3.52 times the parabolic CFL step that suits classical 4-stage Runge-Kutta,
 and each attempt spends the fewest stages that keep its dt the same fraction
-of their stability limit. A step costs s geometry evaluations. After
-a step on which the discrete W_{m+1} rose, the next proposal is capped so the
-predicted rise stays below the acceptance bound, instead of halving after it.
+of their stability limit. A step costs s geometry evaluations.
 
 On the latitude-longitude backend the polar cells carry a zonal Fourier
 cutoff k_cut(theta) ~ sin(theta)/dtheta, applied to every stage state: modes
@@ -293,8 +291,7 @@ def step(state: FlowState, dt: float, c_cfl: float):
     evaluations of every attempt. Acceptance requires finite
     geometry, min kappa >= 1 - 1e-8, and relative W_{m+1} increase below
     1e-10. These mirror the flow's exact invariants, so rejection signals a
-    step too long for the stability limit or for the discrete W_{m+1}, which
-    can rise slowly where the shape is nearly round.
+    step too long for the stability limit.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -347,7 +344,6 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
         raise ValueError(f"c_cfl must lie in (0, {MAX_CFL}]")
     m = state.m
     trace = FlowTrace()
-    dt_rise = np.inf   # longest dt the last W_{m+1} rise rate allows
     cum = 0.0
     deficit_rate = _deficit_integrand_value(state.fields, m)
     rho = state.graph.inball.rho
@@ -365,9 +361,7 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
         if state.t >= t_max:
             trace.stop_reason = "t_max"
             break
-        dt = min(cfl_dt(state, c_cfl) * _RKC[STAGES].beta / _BETA_RK4, dt_rise,
-                 t_max - state.t)
-        w_prev = float(state.W[m + 1])
+        dt = min(cfl_dt(state, c_cfl) * _RKC[STAGES].beta / _BETA_RK4, t_max - state.t)
         try:
             state, dt_used, halvings, evals = step(state, dt, c_cfl)
         except StepFailureError as exc:
@@ -376,8 +370,6 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
             raise
         trace.rejections += halvings
         trace.rhs_evals += evals
-        rise = (float(state.W[m + 1]) - w_prev) / (abs(w_prev) * dt_used)
-        dt_rise = 0.9 * MONO_TOL / rise if rise > 0.0 else np.inf
         rate_new = _deficit_integrand_value(state.fields, m)
         cum += 0.5 * dt_used * (deficit_rate + rate_new)
         deficit_rate = rate_new

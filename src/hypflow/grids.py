@@ -1,14 +1,15 @@
 """Angular grids over S^n and their calculus.
 
 Two backends share one contract: hold a radial sample vector, return
-4th-order centered derivatives with the right ghost continuation, and
-integrate scalar densities against the round measure.
+its spectral derivatives, and integrate scalar densities against the
+round measure.
 
 FullSphereGrid (n = 2 only) is a latitude-longitude grid with J x 2J
 cells whose latitudes are offset by half a cell so no node sits on a
-pole; ghost rows come from copying the antipodal longitude. AxisymGrid
-stores a 1-D profile r(theta) at the same offset latitudes and reflects
-evenly at both poles.
+pole; theta-derivatives use the 2J-periodic double Fourier sphere
+extension (Merilees, Atmosphere 11, 1973). AxisymGrid stores a 1-D
+profile r(theta) at the same offset latitudes, reflected evenly across
+both poles into a cosine series.
 
 The offset latitudes are Chebyshev points of the first kind in cos(theta),
 so quadrature against sin^p(theta) dtheta uses exact Chebyshev-moment
@@ -70,25 +71,18 @@ def theta_weights(J: int, p: int) -> np.ndarray:
     return w
 
 
-def _shifts(padded: np.ndarray, axis: int) -> list[np.ndarray]:
-    """The five stencil views padded[k : k + len - 4] along axis, k = 0..4."""
-    m = padded.shape[axis] - 4
-    return [padded[(slice(None),) * axis + (slice(k, k + m),)] for k in range(5)]
-
-
-# 4th-order centered stencils; callers supply two ghost layers per side.
-# Written in difference-of-neighbor form so constant input gives exact zeros
-# (value-weighted sums leave ~1e-14 rounding residue that the 1/sin^2(theta)
-# factors at the polar rings would amplify by three orders of magnitude).
-def _d1(padded: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    f0, f1, _, f3, f4 = _shifts(padded, axis)
-    return (8.0 * (f3 - f1) - (f4 - f0)) / (12.0 * h)
-
-
-def _d2(padded: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    f0, f1, mid, f3, f4 = _shifts(padded, axis)
-    return (16.0 * ((f1 - mid) + (f3 - mid))
-            - ((f0 - mid) + (f4 - mid))) / (12.0 * h * h)
+def _spectral(f: np.ndarray, axis: int, orders: tuple) -> tuple:
+    """Derivatives of the given orders (1 or 2) along axis of 2J equispaced
+    samples of a 2*pi-periodic function: one rfft, ik or -k^2, one irfft
+    each. f - f.flat[0] is transformed so a constant gives exact zeros,
+    which the 1/sin^2(theta) factors at the polar rings would amplify."""
+    N = f.shape[axis]
+    spec = np.fft.rfft(f - f.flat[0], axis=axis)
+    k = np.arange(N // 2 + 1.0).reshape((-1,) + (1,) * (f.ndim - 1 - axis))
+    ik = 1j * k
+    ik[-1] = 0.0  # the Nyquist mode has no slope at the nodes
+    return tuple(np.fft.irfft(spec * (ik if order == 1 else -k * k), n=N, axis=axis)
+                 for order in orders)
 
 
 class FullSphereGrid:
@@ -120,36 +114,33 @@ class FullSphereGrid:
     def node_shape(self) -> tuple[int, int]:
         return (self.J, 2 * self.J)
 
-    def pad_theta(self, f: np.ndarray) -> np.ndarray:
-        """Two ghost rows per pole: value at (-theta, phi) is value at (theta, phi + pi)."""
+    def _theta_derivs(self, f: np.ndarray, orders: tuple) -> tuple:
+        """theta-derivatives through the double Fourier sphere extension: the
+        value at (2 pi - theta, phi) is the value at (theta, phi + pi). Each
+        column is transformed whole, so a zonal f has exactly zonal ones."""
         J = self.J
-        flip = np.roll(f, J, axis=1)
-        return np.vstack([flip[1], flip[0], f, flip[J - 1], flip[J - 2]])
+        ext = np.concatenate([f, np.hstack([f[::-1, J:], f[::-1, :J]])])
+        return tuple(d[:J] for d in _spectral(ext, 0, orders))
 
     def d_theta(self, f: np.ndarray) -> np.ndarray:
-        return _d1(self.pad_theta(f), self.dtheta, axis=0)
+        return self._theta_derivs(f, (1,))[0]
 
     def d_theta2(self, f: np.ndarray) -> np.ndarray:
-        return _d2(self.pad_theta(f), self.dtheta, axis=0)
+        return self._theta_derivs(f, (2,))[0]
 
     def d_theta_pair(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d_theta f, d_theta2 f) from a single ghost padding."""
-        padded = self.pad_theta(f)
-        return _d1(padded, self.dtheta, axis=0), _d2(padded, self.dtheta, axis=0)
-
-    def _pad_phi(self, f: np.ndarray) -> np.ndarray:
-        return np.concatenate([f[:, -2:], f, f[:, :2]], axis=1)
+        """(d_theta f, d_theta2 f) from a single transform."""
+        return self._theta_derivs(f, (1, 2))
 
     def d_phi(self, f: np.ndarray) -> np.ndarray:
-        return _d1(self._pad_phi(f), self.dphi, axis=1)
+        return _spectral(f, 1, (1,))[0]
 
     def d_phi2(self, f: np.ndarray) -> np.ndarray:
-        return _d2(self._pad_phi(f), self.dphi, axis=1)
+        return _spectral(f, 1, (2,))[0]
 
     def d_phi_pair(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d_phi f, d_phi2 f) from a single ghost padding."""
-        padded = self._pad_phi(f)
-        return _d1(padded, self.dphi, axis=1), _d2(padded, self.dphi, axis=1)
+        """(d_phi f, d_phi2 f) from a single transform."""
+        return _spectral(f, 1, (1, 2))
 
     def d_theta_phi(self, f: np.ndarray) -> np.ndarray:
         return self.d_phi(self.d_theta(f))
@@ -201,20 +192,21 @@ class AxisymGrid:
     def node_shape(self) -> tuple[int]:
         return (self.J,)
 
-    def pad_theta(self, f: np.ndarray) -> np.ndarray:
-        """Even reflection at both poles (smooth zonal functions are even there)."""
-        return np.concatenate([f[1::-1], f, f[-1:-3:-1]])
+    def _theta_derivs(self, f: np.ndarray, orders: tuple) -> tuple:
+        """theta-derivatives through the even extension across both poles,
+        a cosine series on these DCT-II nodes."""
+        ext = np.concatenate([f, f[::-1]])
+        return tuple(d[:self.J] for d in _spectral(ext, 0, orders))
 
     def d_theta(self, f: np.ndarray) -> np.ndarray:
-        return _d1(self.pad_theta(f), self.dtheta)
+        return self._theta_derivs(f, (1,))[0]
 
     def d_theta2(self, f: np.ndarray) -> np.ndarray:
-        return _d2(self.pad_theta(f), self.dtheta)
+        return self._theta_derivs(f, (2,))[0]
 
     def d_theta_pair(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d_theta f, d_theta2 f) from a single ghost padding."""
-        padded = self.pad_theta(f)
-        return _d1(padded, self.dtheta), _d2(padded, self.dtheta)
+        """(d_theta f, d_theta2 f) from a single transform."""
+        return self._theta_derivs(f, (1, 2))
 
     def integrate_sigma(self, density: np.ndarray) -> float:
         return float(np.sum(density * self.sigma_weights))

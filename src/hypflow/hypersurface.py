@@ -10,7 +10,7 @@ induced metric, support function and Weingarten map of the graph are
     h_ij = (-r_;ij + lam lam' sigma_ij + (2 lam'/lam) r_i r_j) / v,
 
 with r_;ij the covariant Hessian on the round sphere. Everything below
-is straightforward evaluation of these formulas with 4th-order stencils,
+is straightforward evaluation of these formulas with spectral derivatives,
 plus the integral geometry built on them: quermassintegrals via the
 curvature-integral recursion, geodesic-ball profiles, and the inball.
 """

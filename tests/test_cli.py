@@ -444,7 +444,7 @@ class TestMainFlow:
         data = (tmp_path / "flow_trace.csv").read_bytes()
         assert data.count(b"\n") == 8
         assert hashlib.sha256(data).hexdigest() == (
-            "c802d7ed0e385676ae61a526d19a3abee6ccf29bb67b2abd7af785e60b3f1c6d")
+            "e38df2b8b430378b32cbb3371ecbae2d786326b2b0ce09d27c7676c387ac48f4")
 
     def test_rhs_evals_reported(self, tmp_path, capsys):
         # six accepted steps on four stages each, none rejected
@@ -530,7 +530,7 @@ class TestMainSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         data = (tmp_path / "sweep.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
-            "bbeafe16bbda97b22b8e08f35439fe4435de76ce38cf1f39f08bdbc91dc30562")
+            "a6852ef5e85eeae882c9e8b7a48c4b3fb9d85253f0bd6ea52a464995c485ff6f")
 
     def test_summary_line(self, tmp_path, capsys):
         cfg = str(Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -545,7 +545,7 @@ class TestMainSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         data = (tmp_path / "sweep.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
-            "16b1445e1478b05f40d3a8ae3735f85c8fa1e6beae336ed1beceb0f5f958d4c6")
+            "bdd5332c78c68c07abfa96f3a6c161a839d9457eddcd0bf239a8930d7af28c89")
 
     def test_insufficient_points_still_succeeds(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(SWEEP_CFG, sweep={"eps_list": [0.05, 0.1]}))

@@ -59,8 +59,8 @@ class TestSphereGeometry:
             g = generate_shape(grid, "sphere", r0)
             f = geometry_fields(g)
             n = f.n
-            # difference-form stencils kill constants exactly, so these are
-            # exact to rounding, not just to discretization order
+            # derivatives of a constant are exact zeros, so these are
+            # exact to rounding
             assert np.abs(f.kappa - 1.0 / np.tanh(r0)).max() < 1e-13
             assert np.abs(f.v - 1.0).max() < 1e-14
             assert np.abs(f.u - np.sinh(r0)).max() < 1e-13
@@ -96,8 +96,8 @@ class TestSphereGeometry:
 
 class TestStencilReuse:
     def test_full_fields_match_single_derivative_calls(self):
-        # geometry_fields pads once per axis and builds r_theta_phi from r_theta;
-        # every stored derivative must equal the one-call stencil bit for bit
+        # geometry_fields transforms once per axis and builds r_theta_phi from
+        # r_theta; every stored derivative must equal the one-call one bit for bit
         grid = FullSphereGrid(32)
         for graph in (generate_shape(grid, "perturbed_sphere", 1.0, eps=0.05, l=3, order=2),
                       generate_shape(grid, "offset_sphere", 1.0, a=0.3)):
@@ -170,13 +170,13 @@ class TestOffsetSphere:
             assert W[k] == pytest.approx(ball_profile(3, k, 1.1), rel=1e-6)
 
     def test_umbilic_after_offset(self):
-        # discretization error is 4th order: ~1.3e-6 at J=64, ~8e-8 at J=128
+        # spectral derivatives leave rounding only: 2.0e-12 at J=64, 8.4e-12 at J=128
         devs = []
         for J in (64, 128):
             f = geometry_fields(generate_shape(AxisymGrid(J, 2), "offset_sphere", 1.0, a=0.5))
             devs.append(np.abs(f.kappa - 1.0 / np.tanh(1.0)).max())
-        assert devs[0] < 3e-6
-        assert devs[1] < devs[0] / 8.0
+        assert devs[0] < 6e-12
+        assert devs[1] < 3e-11
 
 
 class TestQuermass:

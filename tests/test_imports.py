@@ -6,11 +6,13 @@ so is any name a module lists in `__all__`.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from hypflow import grids
 from hypflow.hypersurface import SHAPE_KINDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -336,3 +338,26 @@ def evaluations_outside_the_graph() -> list:
 
 def test_derived_quantities_are_evaluated_by_the_graph():
     assert evaluations_outside_the_graph() == []
+
+
+def _tracer_tables() -> dict:
+    """FUNCTIONS and METHODS as perfbench/tracer.py assigns them, read from
+    its source without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    return {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("FUNCTIONS", "METHODS")}
+
+
+def test_benchmark_traced_names_exist():
+    # the benchmark tracer wraps these by name, a function through its module
+    # and a method through its grid class's own __dict__; a rename in the
+    # package would otherwise fail only inside a traced benchmark run
+    tables = _tracer_tables()
+    assert set(tables) == {"FUNCTIONS", "METHODS"}
+    missing = [f"{home}.{name}" for home, names in tables["FUNCTIONS"].items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"hypflow.{home}"), name, None))]
+    missing += [f"{cls}.{name}" for cls, names in tables["METHODS"].items()
+                for name in names if name not in vars(getattr(grids, cls))]
+    assert missing == []
