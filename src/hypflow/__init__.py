@@ -4,12 +4,12 @@ in hyperbolic space, with the quermassintegral bookkeeping that drives them.
 Layers, bottom to top:
 
 - ``symfunc``       normalized elementary symmetric functions and quotients
-- ``grids``         spherical finite-difference grids (full lat-long, axisymmetric)
+- ``grids``         spherical grids and their spectral derivatives (full lat-long, axisymmetric)
 - ``hypersurface``  radial-graph geometry, quermassintegrals, shape generators
 - ``conformal``     conformal image in the Euclidean ball model and its identities
-- ``flow``          the constrained-flow integrator, monitors, residual checks
+- ``flow``          the constrained-flow integrator and its monitors
 - ``stability``     deficit / sphere-distance experiments and the proof-trace check
-- ``checks``        consolidated verification suite
+- ``checks``        consolidated verification suite and the evolution-identity checks
 - ``svgplot``       dependency-free SVG plots
 - ``cli``           ``hypflow`` command-line entry point
 """
@@ -57,13 +57,10 @@ from .flow import (
     FlowState,
     FlowTrace,
     StepFailureError,
-    VariationalReport,
     cfl_dt,
     normal_speed,
-    pointwise_F_check,
     run,
     step,
-    variational_check,
 )
 from .stability import (
     DeficitResult,
@@ -78,6 +75,12 @@ from .stability import (
     sphere_fit,
     stability_sweep,
 )
-from .checks import CheckResult, run_verify
+from .checks import (
+    CheckResult,
+    VariationalReport,
+    pointwise_F_check,
+    run_verify,
+    variational_check,
+)
 
 __version__ = "0.1.0"

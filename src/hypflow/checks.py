@@ -5,9 +5,14 @@ Each check returns a CheckResult with a pass flag and a one-line numeric
 summary; run_verify executes the full battery. The checks are quantitative
 statements with fixed tolerances — symmetric-function inequalities on random
 spectra, integral identities on random h-convex shapes, invariant monitors on
-a canned flow run, conformal-image identities, and the deficit/dissipation
-bookkeeping — so a pass is direct evidence the numerics implement the
-structure they claim.
+a canned flow run, conformal-image identities, the deficit/dissipation
+bookkeeping, and the flow's evolution identities — so a pass is direct
+evidence the numerics implement the structure they claim.
+
+The evolution identities (variational_check, pointwise_F_check) take d/dt at
+the state itself, as one central difference along the state's velocity, so
+both sides of each identity are evaluated at the same state and nothing
+depends on the time stepper.
 """
 
 from __future__ import annotations
@@ -19,18 +24,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import area_identity_check, conf_relation_residual, image_convexity_margin, to_ball
-from .flow import FlowState, pointwise_F_check, run, variational_check
+from .flow import FlowState, run
 from .grids import AxisymGrid, FullSphereGrid
 from .hypersurface import (
+    GeometryFields,
     ball_profile,
     generate_shape,
     integrate,
     random_hconvex_shape,
 )
 from .stability import deficit, proof_trace_check, sphere_fit
-from .symfunc import esym_all, quotient_eval
+from .symfunc import esym_all, quotient_eval, quotient_from_esym
 
-__all__ = ["CheckResult", "run_verify",
+__all__ = ["CheckResult", "run_verify", "VariationalReport", "variational_check",
+           "pointwise_F_check",
            "check_symfunc_fuzz", "check_subset_oracle", "check_minkowski",
            "check_isometry", "check_deficit_fuzz", "check_canned_flow",
            "check_conformal", "check_variational", "check_pointwise_F"]
@@ -153,6 +160,152 @@ def minkowski_residuals(graph) -> np.ndarray:
         rhs = integrate(fields, fields.u * fields.E[..., k + 1])
         res[k] = abs(lhs - rhs) / abs(rhs)
     return res
+
+
+#: flow time of the central difference the evolution-identity checks take
+#: along a state's velocity
+_DELTA = 1e-3
+
+
+def _rate(state: FlowState, value):
+    """d/dt of value(graph) at the state, graph gauge: value at
+    r +- _DELTA dr/dt, differenced centrally."""
+    graph, rate = state.graph, state.speed[1]
+    lo, hi = (value(graph.with_values(graph.r + side * _DELTA * rate)) for side in (-1.0, 1.0))
+    return (hi - lo) / (2.0 * _DELTA)
+
+
+@dataclass
+class VariationalReport:
+    k_residuals: np.ndarray      # relative residual of d/dt W_k vs the integral formula
+    minkowski_residual: float    # |int f E_m| / int |f| E_m  (exact zero in the continuum)
+
+
+def variational_check(state: FlowState) -> VariationalReport:
+    """Central-difference d/dt W_k against ((n+1-k)/(n+1)) int f E_k dmu.
+
+    Each residual is relative to ((n+1-k)/(n+1)) int |f| E_k dmu, which
+    stays a scale of the identity where both sides vanish (a recentering
+    sphere keeps every W_k). k = m doubles as the discrete Minkowski-formula
+    check since conservation makes that integral vanish.
+    """
+    n, m = state.graph.n, state.m
+    fields, f = state.fields, state.speed[0]
+    weight = (n + 1 - np.arange(n + 1)) / (n + 1)
+    formula = weight * np.array([integrate(fields, f * fields.E[..., k]) for k in range(n + 1)])
+    scale = np.maximum(weight * np.array(
+        [integrate(fields, np.abs(f) * fields.E[..., k]) for k in range(n + 1)]), 1e-300)
+    residuals = np.abs(_rate(state, lambda graph: graph.W) - formula) / scale
+    return VariationalReport(k_residuals=residuals, minkowski_residual=abs(formula[m]) / scale[m])
+
+
+def _surface_christoffel_full(fields: GeometryFields):
+    """Christoffel symbols of the induced metric on the 2-sphere backend,
+    assembled from analytic derivatives of g_ij = r_i r_j + lam^2 sigma_ij."""
+    g = fields
+    grid = g.grid
+    sin_t, cos_t = grid.sin_t, grid.cos_t
+    lam, lamp = g.lam, g.lamp
+    rt, rp, rtt, rtp, rpp = g.rt, g.rp, g.rtt, g.rtp, g.rpp
+    lam_lamp = lam * lamp
+    dt_gtt = 2.0 * (rt * rtt + lam_lamp * rt)
+    dp_gtt = 2.0 * (rt * rtp + lam_lamp * rp)
+    dt_gtp = rtt * rp + rt * rtp
+    dp_gtp = rtp * rp + rt * rpp
+    sin2 = sin_t ** 2
+    dt_gpp = 2.0 * (rp * rtp + lam_lamp * rt * sin2 + lam * lam * sin_t * cos_t)
+    dp_gpp = 2.0 * (rp * rpp + lam_lamp * rp * sin2)
+
+    detg = g.g_tt * g.g_pp - g.g_tp ** 2
+    i_tt, i_tp, i_pp = g.g_pp / detg, -g.g_tp / detg, g.g_tt / detg
+
+    # lower-index symbols [ij,l] = (d_i g_jl + d_j g_il - d_l g_ij)/2
+    c_tt_t = 0.5 * dt_gtt
+    c_tt_p = dt_gtp - 0.5 * dp_gtt
+    c_tp_t = 0.5 * dp_gtt
+    c_tp_p = 0.5 * dt_gpp
+    c_pp_t = dp_gtp - 0.5 * dt_gpp
+    c_pp_p = 0.5 * dp_gpp
+
+    G_t_tt = i_tt * c_tt_t + i_tp * c_tt_p
+    G_p_tt = i_tp * c_tt_t + i_pp * c_tt_p
+    G_t_tp = i_tt * c_tp_t + i_tp * c_tp_p
+    G_p_tp = i_tp * c_tp_t + i_pp * c_tp_p
+    G_t_pp = i_tt * c_pp_t + i_tp * c_pp_p
+    G_p_pp = i_tp * c_pp_t + i_pp * c_pp_p
+    inv = (i_tt, i_tp, i_pp)
+    gam = (G_t_tt, G_p_tt, G_t_tp, G_p_tp, G_t_pp, G_p_pp)
+    return inv, gam
+
+
+def pointwise_F_check(state: FlowState) -> float:
+    """Largest nodewise residual of the exact evolution law of F along the flow,
+
+        dF/dt - (lam'/F^2) F^{ij} grad^2_{ij} F - <lam d_r, grad F>
+          = (1 - F^{ij}g_{ij}) u + (lam'/F)(F^2 - F^{ij}(h^2)_{ij})
+            + (2/F) F^{ij} grad_i F grad_j (lam'/F),
+
+    with dF/dt taken in the normal gauge (the graph-gauge time derivative
+    minus the tangential-velocity transport f v <grad F, d_r>). The
+    graph-gauge derivative is a central difference along the state's
+    velocity (_rate); everything else is evaluated at the state.
+    """
+    m = state.m
+    grid = state.graph.grid
+    F0, dF0 = quotient_eval(m, state.fields.kappa)
+    dFdt_graph = _rate(state, lambda graph: quotient_from_esym(m, graph.fields.E))
+
+    g = state.fields
+    f = state.speed[0]
+    lamp_over_F = g.lamp / F0
+    kap = g.kappa
+    trace_dF = dF0.sum(axis=-1)
+    second_moment = (kap * kap * dF0).sum(axis=-1)
+    rhs_alg = (1.0 - trace_dF) * g.u + lamp_over_F * (F0 * F0 - second_moment)
+
+    if grid.backend == "full":
+        (i_tt, i_tp, i_pp), (G_t_tt, G_p_tt, G_t_tp, G_p_tp, G_t_pp, G_p_pp) = (
+            _surface_christoffel_full(g))
+        Ft, Fp = grid.d_theta(F0), grid.d_phi(F0)
+        Ftt, Fpp, Ftp = grid.d_theta2(F0), grid.d_phi2(F0), grid.d_theta_phi(F0)
+        H_tt = Ftt - G_t_tt * Ft - G_p_tt * Fp
+        H_tp = Ftp - G_t_tp * Ft - G_p_tp * Fp
+        H_pp = Fpp - G_t_pp * Ft - G_p_pp * Fp
+        # m = 1 on this backend, so F^{ij} = g^{ij}/2 exactly
+        trace_hess = i_tt * H_tt + 2.0 * i_tp * H_tp + i_pp * H_pp
+        diffusion = g.lamp / (F0 * F0) * 0.5 * trace_hess
+        radial_dot_gradF = (i_tt * g.rt * Ft + i_tp * (g.rt * Fp + g.rp * Ft)
+                            + i_pp * g.rp * Fp)
+        Gfun = lamp_over_F
+        Gt, Gp = grid.d_theta(Gfun), grid.d_phi(Gfun)
+        grad_pair = i_tt * Ft * Gt + i_tp * (Ft * Gp + Fp * Gt) + i_pp * Fp * Gp
+        rhs_grad = (2.0 / F0) * 0.5 * grad_pair
+    else:
+        lam, lamp, rt, rtt = g.lam, g.lamp, g.rt, g.rtt
+        sin_t, cos_t = grid.sin_t, grid.cos_t
+        g_tt = g.g_tt
+        Ft = grid.d_theta(F0)
+        Ftt = grid.d_theta2(F0)
+        dF_rad = dF0[:, 0]
+        dF_ang = dF0[:, 1]
+        nang = state.graph.n - 1
+        dt_gtt = 2.0 * (rt * rtt + lam * lamp * rt)
+        G_t_tt = 0.5 * dt_gtt / g_tt
+        # angular fiber metric lam^2 sin^2(theta) w; Gamma^theta_ab = -(1/2) g^{tt} d_theta(...)
+        dlog_ang = 2.0 * (lamp * rt / lam + cos_t / sin_t)
+        hess_tt = Ftt - G_t_tt * Ft
+        hess_ang_contracted = 0.5 * dlog_ang / g_tt * Ft     # times g^{ab}w_ab per direction
+        trace_term = dF_rad / g_tt * hess_tt + nang * dF_ang * hess_ang_contracted
+        diffusion = g.lamp / (F0 * F0) * trace_term
+        radial_dot_gradF = rt * Ft / g_tt
+        Gfun = lamp_over_F
+        Gt = grid.d_theta(Gfun)
+        rhs_grad = (2.0 / F0) * dF_rad / g_tt * Ft * Gt
+
+    gauge = f * g.v * radial_dot_gradF
+    advect = g.lam * radial_dot_gradF
+    residual = dFdt_graph - gauge - diffusion - advect - rhs_alg - rhs_grad
+    return float(np.abs(residual).max())
 
 
 @_timed
@@ -297,8 +450,8 @@ def check_variational() -> CheckResult:
 
 @_timed
 def check_pointwise_F() -> CheckResult:
-    """Nodewise residual of the evolution law of F along two probe steps,
-    on one full-grid and two axisymmetric perturbed spheres."""
+    """Nodewise residual of the evolution law of F, d/dt taken along the
+    flow velocity, on one full-grid and two axisymmetric perturbed spheres."""
     cases = [  # (grid, m, perturbed_sphere keywords, residual bound)
         (FullSphereGrid(32), 1, {"eps": 0.05, "l": 2, "order": 2}, 2e-4),
         (AxisymGrid(48, n=2), 1, {"eps": 0.1, "l": 2}, 1e-5),

@@ -19,13 +19,16 @@ finer than the cutoff on a polar ring are unresolvable there at the global
 time step (the azimuthal mesh width collapses like sin theta) and would
 otherwise blow up from rounding-level seeds. All shapes produced by the
 generators live below the cutoff, so the filter is exact on resolved data.
+
+step is the one user of the stage machinery (_stages, _stage_filter,
+_advance). The checks of the flow's evolution identities live in checks and
+read only a state's graph and speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import attrgetter
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .hypersurface import (
     integrate,
     traceless_measures,
 )
-from .symfunc import ConeViolationError, quotient_eval, quotient_from_esym
+from .symfunc import ConeViolationError, quotient_from_esym
 
 __all__ = [
     "FlowState",
@@ -46,9 +49,6 @@ __all__ = [
     "normal_speed",
     "step",
     "run",
-    "VariationalReport",
-    "variational_check",
-    "pointwise_F_check",
     "DEFAULT_CFL",
     "MAX_CFL",
     "DEFAULT_TOL_STOP",
@@ -327,7 +327,7 @@ def step(state: FlowState, dt: float, c_cfl: float):
     )
 
 
-def cfl_dt(state: FlowState, c_cfl: float = DEFAULT_CFL) -> float:
+def cfl_dt(state: FlowState, c_cfl: float) -> float:
     fields = state.fields
     minF = float(state.F.min())
     lam_min = float(fields.lam.min())
@@ -379,162 +379,3 @@ def run(state: FlowState, *, t_max: float, tol_stop: float = DEFAULT_TOL_STOP,
     else:
         trace.stop_reason = "max_steps"
     return state, trace
-
-
-# ---------------------------------------------------------------------------
-# residual checks against the exact evolution identities
-
-
-def _probe_states(state: FlowState, h: float):
-    """The state and two forward probe steps of size h, with the stage count
-    and filter step would use at DEFAULT_CFL (no acceptance logic)."""
-    filt = _stage_filter(state.graph.grid, DEFAULT_CFL)
-    s = _stages(state, h, DEFAULT_CFL)
-    fields = attrgetter("fields")
-    s1 = _advance(state, h, filt, s, fields)
-    return state, s1, _advance(s1, h, filt, s, fields)
-
-
-@dataclass
-class VariationalReport:
-    k_residuals: np.ndarray      # relative residual of d/dt W_k vs the integral formula
-    minkowski_residual: float    # |int f E_m| / int |f| E_m  (exact zero in the continuum)
-
-
-def variational_check(state: FlowState) -> VariationalReport:
-    """Centered-difference d/dt W_k against ((n+1-k)/(n+1)) int f E_k dmu.
-
-    Uses two forward probe steps of h = cfl_dt/8 and centers the difference
-    at t + h, where the integral formula is evaluated; k = m doubles as the
-    discrete Minkowski-formula check since conservation makes that integral
-    vanish.
-    """
-    n, m = state.graph.n, state.m
-    h = cfl_dt(state) / 8.0
-    s0, s1, s2 = _probe_states(state, h)
-    f = s1.speed[0]
-    residuals = np.zeros(n + 1)
-    mink = 0.0
-    for k in range(n + 1):
-        fd = (s2.W[k] - s0.W[k]) / (2.0 * h)
-        formula = (n + 1 - k) / (n + 1) * integrate(s1.fields, f * s1.fields.E[..., k])
-        if k == m:
-            scale = integrate(s1.fields, np.abs(f) * s1.fields.E[..., k])
-            mink = abs(formula * (n + 1) / (n + 1 - k)) / max(scale, 1e-300)
-            residuals[k] = abs(fd - formula) / max(scale, 1e-300)
-        else:
-            residuals[k] = abs(fd - formula) / max(abs(fd), abs(formula), 1e-300)
-    return VariationalReport(k_residuals=residuals, minkowski_residual=mink)
-
-
-def _surface_christoffel_full(fields: GeometryFields):
-    """Christoffel symbols of the induced metric on the 2-sphere backend,
-    assembled from analytic derivatives of g_ij = r_i r_j + lam^2 sigma_ij."""
-    g = fields
-    grid = g.grid
-    sin_t, cos_t = grid.sin_t, grid.cos_t
-    lam, lamp, r = g.lam, g.lamp, g.r
-    rt, rp, rtt, rtp, rpp = g.rt, g.rp, g.rtt, g.rtp, g.rpp
-    lam_lamp = lam * lamp
-    dt_gtt = 2.0 * (rt * rtt + lam_lamp * rt)
-    dp_gtt = 2.0 * (rt * rtp + lam_lamp * rp)
-    dt_gtp = rtt * rp + rt * rtp
-    dp_gtp = rtp * rp + rt * rpp
-    sin2 = sin_t ** 2
-    dt_gpp = 2.0 * (rp * rtp + lam_lamp * rt * sin2 + lam * lam * sin_t * cos_t)
-    dp_gpp = 2.0 * (rp * rpp + lam_lamp * rp * sin2)
-
-    detg = g.g_tt * g.g_pp - g.g_tp ** 2
-    i_tt, i_tp, i_pp = g.g_pp / detg, -g.g_tp / detg, g.g_tt / detg
-
-    # lower-index symbols [ij,l] = (d_i g_jl + d_j g_il - d_l g_ij)/2
-    c_tt_t = 0.5 * dt_gtt
-    c_tt_p = dt_gtp - 0.5 * dp_gtt
-    c_tp_t = 0.5 * dp_gtt
-    c_tp_p = 0.5 * dt_gpp
-    c_pp_t = dp_gtp - 0.5 * dt_gpp
-    c_pp_p = 0.5 * dp_gpp
-
-    G_t_tt = i_tt * c_tt_t + i_tp * c_tt_p
-    G_p_tt = i_tp * c_tt_t + i_pp * c_tt_p
-    G_t_tp = i_tt * c_tp_t + i_tp * c_tp_p
-    G_p_tp = i_tp * c_tp_t + i_pp * c_tp_p
-    G_t_pp = i_tt * c_pp_t + i_tp * c_pp_p
-    G_p_pp = i_tp * c_pp_t + i_pp * c_pp_p
-    inv = (i_tt, i_tp, i_pp)
-    gam = (G_t_tt, G_p_tt, G_t_tp, G_p_tp, G_t_pp, G_p_pp)
-    return inv, gam
-
-
-def pointwise_F_check(state: FlowState) -> float:
-    """Largest nodewise residual of the exact evolution law of F along the flow,
-
-        dF/dt - (lam'/F^2) F^{ij} grad^2_{ij} F - <lam d_r, grad F>
-          = (1 - F^{ij}g_{ij}) u + (lam'/F)(F^2 - F^{ij}(h^2)_{ij})
-            + (2/F) F^{ij} grad_i F grad_j (lam'/F),
-
-    with dF/dt taken in the normal gauge (the graph-gauge time derivative
-    minus the tangential-velocity transport f v <grad F, d_r>). The time
-    derivative uses a second-order one-sided difference from two forward
-    probe steps of h = cfl_dt/4; everything else is evaluated at the
-    current state.
-    """
-    m = state.m
-    grid = state.graph.grid
-    h = cfl_dt(state) / 4.0
-    s0, s1, s2 = _probe_states(state, h)
-    # only the current state needs the gradient; the probes' F is cached
-    F0, dF0 = quotient_eval(m, s0.fields.kappa)
-    dFdt_graph = (-3.0 * F0 + 4.0 * s1.F - s2.F) / (2.0 * h)
-
-    g = s0.fields
-    f = s0.speed[0]
-    lamp_over_F = g.lamp / F0
-    kap = g.kappa
-    trace_dF = dF0.sum(axis=-1)
-    second_moment = (kap * kap * dF0).sum(axis=-1)
-    rhs_alg = (1.0 - trace_dF) * g.u + lamp_over_F * (F0 * F0 - second_moment)
-
-    if grid.backend == "full":
-        (i_tt, i_tp, i_pp), (G_t_tt, G_p_tt, G_t_tp, G_p_tp, G_t_pp, G_p_pp) = (
-            _surface_christoffel_full(g))
-        Ft, Fp = grid.d_theta(F0), grid.d_phi(F0)
-        Ftt, Fpp, Ftp = grid.d_theta2(F0), grid.d_phi2(F0), grid.d_theta_phi(F0)
-        H_tt = Ftt - G_t_tt * Ft - G_p_tt * Fp
-        H_tp = Ftp - G_t_tp * Ft - G_p_tp * Fp
-        H_pp = Fpp - G_t_pp * Ft - G_p_pp * Fp
-        # m = 1 on this backend, so F^{ij} = g^{ij}/2 exactly
-        trace_hess = i_tt * H_tt + 2.0 * i_tp * H_tp + i_pp * H_pp
-        diffusion = g.lamp / (F0 * F0) * 0.5 * trace_hess
-        radial_dot_gradF = (i_tt * g.rt * Ft + i_tp * (g.rt * Fp + g.rp * Ft)
-                            + i_pp * g.rp * Fp)
-        Gfun = lamp_over_F
-        Gt, Gp = grid.d_theta(Gfun), grid.d_phi(Gfun)
-        grad_pair = i_tt * Ft * Gt + i_tp * (Ft * Gp + Fp * Gt) + i_pp * Fp * Gp
-        rhs_grad = (2.0 / F0) * 0.5 * grad_pair
-    else:
-        lam, lamp, rt, rtt = g.lam, g.lamp, g.rt, g.rtt
-        sin_t, cos_t = grid.sin_t, grid.cos_t
-        g_tt = g.g_tt
-        Ft = grid.d_theta(F0)
-        Ftt = grid.d_theta2(F0)
-        dF_rad = dF0[:, 0]
-        dF_ang = dF0[:, 1]
-        nang = state.graph.n - 1
-        dt_gtt = 2.0 * (rt * rtt + lam * lamp * rt)
-        G_t_tt = 0.5 * dt_gtt / g_tt
-        # angular fiber metric lam^2 sin^2(theta) w; Gamma^theta_ab = -(1/2) g^{tt} d_theta(...)
-        dlog_ang = 2.0 * (lamp * rt / lam + cos_t / sin_t)
-        hess_tt = Ftt - G_t_tt * Ft
-        hess_ang_contracted = 0.5 * dlog_ang / g_tt * Ft     # times g^{ab}w_ab per direction
-        trace_term = dF_rad / g_tt * hess_tt + nang * dF_ang * hess_ang_contracted
-        diffusion = g.lamp / (F0 * F0) * trace_term
-        radial_dot_gradF = rt * Ft / g_tt
-        Gfun = lamp_over_F
-        Gt = grid.d_theta(Gfun)
-        rhs_grad = (2.0 / F0) * dF_rad / g_tt * Ft * Gt
-
-    gauge = f * g.v * radial_dot_gradF
-    advect = g.lam * radial_dot_gradF
-    residual = dFdt_graph - gauge - diffusion - advect - rhs_alg - rhs_grad
-    return float(np.abs(residual).max())

@@ -130,6 +130,39 @@ def test_every_public_name_reachable_from_cli():
     assert unreachable_public_names() == []
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _package_import(node) -> bool:
+    """A `from` import of the package itself or of one of its modules."""
+    return isinstance(node, ast.ImportFrom) and (
+        node.level > 0 or (node.module or "").partition(".")[0] == "hypflow")
+
+
+def private_cross_reads() -> list:
+    """Reads in the package of another package module's private name, by
+    `from .x import _y` or by `x._y` on a module a `from` import binds;
+    a module reaches another only through its public names."""
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imports = [node for node in ast.walk(tree) if _package_import(node)]
+        modules = {alias.asname or alias.name for node in imports
+                   if node.module in (None, "hypflow") for alias in node.names}
+        hits += [f"{path.relative_to(ROOT)}:{node.lineno} {alias.name}"
+                 for node in imports for alias in node.names if _private(alias.name)]
+        hits += [f"{path.relative_to(ROOT)}:{node.lineno} {node.value.id}.{node.attr}"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in modules and _private(node.attr)]
+    return hits
+
+
+def test_no_private_name_read_across_modules():
+    assert private_cross_reads() == []
+
+
 CALLERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 #: defaulted parameters no caller needs to set: the loop guard of flow.run,
