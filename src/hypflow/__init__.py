@@ -58,7 +58,6 @@ from .flow import (
     FlowTrace,
     StepFailureError,
     cfl_dt,
-    normal_speed,
     run,
     step,
 )

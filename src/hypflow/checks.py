@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .conformal import area_identity_check, conf_relation_residual, image_convexity_margin, to_ball
-from .flow import FlowState, run
+from .flow import SPEED_STOP, FlowState, run
 from .grids import AxisymGrid, FullSphereGrid
 from .hypersurface import (
     GeometryFields,
@@ -34,7 +34,7 @@ from .hypersurface import (
     random_hconvex_shape,
 )
 from .stability import deficit, proof_trace_check, sphere_fit
-from .symfunc import esym_all, quotient_eval, quotient_from_esym
+from .symfunc import esym_all, quotient_eval
 
 __all__ = ["CheckResult", "run_verify", "VariationalReport", "variational_check",
            "pointwise_F_check",
@@ -168,10 +168,11 @@ _DELTA = 1e-3
 
 
 def _rate(state: FlowState, value):
-    """d/dt of value(graph) at the state, graph gauge: value at
-    r +- _DELTA dr/dt, differenced centrally."""
+    """d/dt of value(probe) at the state, graph gauge: value on the probe
+    states at r +- _DELTA dr/dt, differenced centrally."""
     graph, rate = state.graph, state.speed[1]
-    lo, hi = (value(graph.with_values(graph.r + side * _DELTA * rate)) for side in (-1.0, 1.0))
+    lo, hi = (value(replace(state, graph=graph.with_values(graph.r + side * _DELTA * rate)))
+              for side in (-1.0, 1.0))
     return (hi - lo) / (2.0 * _DELTA)
 
 
@@ -184,18 +185,20 @@ class VariationalReport:
 def variational_check(state: FlowState) -> VariationalReport:
     """Central-difference d/dt W_k against ((n+1-k)/(n+1)) int f E_k dmu.
 
-    Each residual is relative to ((n+1-k)/(n+1)) int |f| E_k dmu, which
-    stays a scale of the identity where both sides vanish (a recentering
-    sphere keeps every W_k). k = m doubles as the discrete Minkowski-formula
-    check since conservation makes that integral vanish.
+    Each residual is relative to ((n+1-k)/(n+1)) int max(|f|, SPEED_STOP) E_k
+    dmu, which stays a scale of the identity where both sides vanish (a
+    recentering sphere keeps every W_k); the floor, the speed below which run
+    calls a state stationary, keeps it one on a sphere about the origin, where
+    f is rounding. k = m doubles as the discrete Minkowski-formula check since
+    conservation makes that integral vanish.
     """
     n, m = state.graph.n, state.m
     fields, f = state.fields, state.speed[0]
     weight = (n + 1 - np.arange(n + 1)) / (n + 1)
     formula = weight * np.array([integrate(fields, f * fields.E[..., k]) for k in range(n + 1)])
-    scale = np.maximum(weight * np.array(
-        [integrate(fields, np.abs(f) * fields.E[..., k]) for k in range(n + 1)]), 1e-300)
-    residuals = np.abs(_rate(state, lambda graph: graph.W) - formula) / scale
+    speed = np.maximum(np.abs(f), SPEED_STOP)
+    scale = weight * np.array([integrate(fields, speed * fields.E[..., k]) for k in range(n + 1)])
+    residuals = np.abs(_rate(state, lambda probe: probe.W) - formula) / scale
     return VariationalReport(k_residuals=residuals, minkowski_residual=abs(formula[m]) / scale[m])
 
 
@@ -250,10 +253,10 @@ def pointwise_F_check(state: FlowState) -> float:
     graph-gauge derivative is a central difference along the state's
     velocity (_rate); everything else is evaluated at the state.
     """
-    m = state.m
     grid = state.graph.grid
-    F0, dF0 = quotient_eval(m, state.fields.kappa)
-    dFdt_graph = _rate(state, lambda graph: quotient_from_esym(m, graph.fields.E))
+    F0 = state.F
+    dF0 = quotient_eval(state.m, state.fields.kappa)[1]
+    dFdt_graph = _rate(state, lambda probe: probe.F)
 
     g = state.fields
     f = state.speed[0]

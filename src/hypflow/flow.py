@@ -13,16 +13,20 @@ interval beta(s) grows like s^2 with the stage count s, so run proposes
 and each attempt spends the fewest stages that keep its dt the same fraction
 of their stability limit. A step costs s geometry evaluations.
 
-On the latitude-longitude backend the polar cells carry a zonal Fourier
-cutoff k_cut(theta) ~ sin(theta)/dtheta, applied to every stage state: modes
-finer than the cutoff on a polar ring are unresolvable there at the global
-time step (the azimuthal mesh width collapses like sin theta) and would
-otherwise blow up from rounding-level seeds. All shapes produced by the
-generators live below the cutoff, so the filter is exact on resolved data.
+Every stage state goes through the grid's pole_filter. On the
+latitude-longitude backend that is a zonal Fourier cutoff
+k_cut(theta) ~ sin(theta)/dtheta on the polar cells: modes finer than the
+cutoff on a polar ring are unresolvable there at the global time step (the
+azimuthal mesh width collapses like sin theta) and would otherwise blow up
+from rounding-level seeds. All shapes produced by the generators live below
+the cutoff, so the filter is exact on resolved data. A zonal profile has no
+azimuthal modes, so on the axisym grid the filter is the identity.
 
-step is the one user of the stage machinery (_stages, _stage_filter,
-_advance). The checks of the flow's evolution identities live in checks and
-read only a state's graph and speed.
+FlowState is the one evaluator of a graph's order-m quantities: every stage
+of a step is a FlowState, and F and the speed are formed only there. step is
+the one user of the stage machinery (_stages, _advance). The checks of the
+flow's evolution identities live in checks and read only a state's graph,
+F and speed.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ __all__ = [
     "FlowState",
     "FlowTrace",
     "StepFailureError",
-    "normal_speed",
     "step",
     "run",
     "DEFAULT_CFL",
@@ -85,18 +88,6 @@ class StepFailureError(RuntimeError):
         self.diagnostics = diagnostics
         self.rhs_evals = rhs_evals   # geometry evaluations the failed step spent
         self.partial_trace = None    # the trace up to the failure, set by run
-
-
-def normal_speed(fields: GeometryFields, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normal speed f = lam'/F - u and the graph-gauge rate dr/dt = f*v."""
-    return _speed(fields, quotient_from_esym(m, fields.E))
-
-
-def _speed(fields: GeometryFields, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if F.min() <= 0.0:
-        raise ConeViolationError(f"curvature quotient nonpositive (min F = {F.min():.3e})")
-    f = fields.lamp / F - fields.u
-    return f, f * fields.v
 
 
 @dataclass
@@ -138,8 +129,12 @@ class FlowState:
 
     @cached_property
     def speed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(f, dr/dt) as returned by normal_speed."""
-        return _speed(self.fields, self.F)
+        """Normal speed f = lam'/F - u and the graph-gauge rate dr/dt = f*v."""
+        F, fields = self.F, self.fields
+        if F.min() <= 0.0:
+            raise ConeViolationError(f"curvature quotient nonpositive (min F = {F.min():.3e})")
+        f = fields.lamp / F - fields.u
+        return f, f * fields.v
 
     @cached_property
     def traceless(self) -> tuple[float, float]:
@@ -218,16 +213,6 @@ def _monitor_flags(state: FlowState, row: dict, first: dict, rho: float) -> list
     return [name for name, bad in checks if bad]
 
 
-def _stage_filter(grid, c_cfl: float):
-    """Filter for every stage state: on the full grid the polar Fourier
-    cutoff 2/sqrt(c_cfl) that keeps the step stable at that CFL fraction;
-    the identity on the axisym grid."""
-    if grid.backend != "full":
-        return lambda r: r
-    c_pole = 2.0 / np.sqrt(c_cfl)
-    return lambda r: grid.pole_filter(r, c_pole)
-
-
 @dataclass(frozen=True)
 class _RKCTable:
     beta: float     # real stability interval
@@ -264,18 +249,21 @@ def _stages(state: FlowState, dt: float, c_cfl: float) -> int:
     return next((s for s in range(2, STAGES) if _RKC[s].beta >= need), STAGES)
 
 
-def _advance(state: FlowState, dt: float, filt, s: int, geometry) -> FlowState:
+def _advance(state: FlowState, dt: float, c_cfl: float, s: int, geometry) -> FlowState:
     """Damped RKC2 update of the radii over dt in s stages from the state's
-    own rate, every stage state filtered, with the post-state's geometry; no
-    acceptance test. geometry returns the fields of a graph (s calls per
-    update)."""
-    m, graph, y0, f0 = state.m, state.graph, state.graph.r, state.speed[1]
+    own rate, every stage state through the grid's pole filter at cutoff
+    2/sqrt(c_cfl), with the post-state's geometry; no acceptance test.
+    geometry is called with every graph before its fields are read (s calls)."""
+    graph, y0, f0 = state.graph, state.graph.r, state.speed[1]
+    grid, c_pole = graph.grid, 2.0 / np.sqrt(c_cfl)
     table = _RKC[s]
-    prev, cur = y0, filt(y0 + table.mu1 * dt * f0)
+    prev, cur = y0, grid.pole_filter(y0 + table.mu1 * dt * f0, c_pole)
     for mu, nu, mu_t, gamma_t in table.stages:
-        f = normal_speed(geometry(graph.with_values(cur)), m)[1]
-        prev, cur = cur, filt((1.0 - mu - nu) * y0 + mu * cur + nu * prev
-                              + dt * (mu_t * f + gamma_t * f0))
+        stage = replace(state, graph=graph.with_values(cur))
+        geometry(stage.graph)
+        f = stage.speed[1]
+        prev, cur = cur, grid.pole_filter((1.0 - mu - nu) * y0 + mu * cur + nu * prev
+                                          + dt * (mu_t * f + gamma_t * f0), c_pole)
     graph = graph.with_values(cur)
     geometry(graph)
     return replace(state, graph=graph, t=state.t + dt)
@@ -284,8 +272,9 @@ def _advance(state: FlowState, dt: float, filt, s: int, geometry) -> FlowState:
 def step(state: FlowState, dt: float, c_cfl: float):
     """One accepted RKC step; halves dt until the post-state is admissible.
 
-    c_cfl is the CFL fraction dt was chosen with; it sets the stage filter
-    (see _stage_filter) and, with dt, the stage count of each attempt.
+    c_cfl is the CFL fraction dt was chosen with; it sets the cutoff of the
+    grid's pole filter on every stage and, with dt, the stage count of each
+    attempt.
 
     Returns (new_state, dt_used, halvings, evals); evals counts the geometry
     evaluations of every attempt. Acceptance requires finite
@@ -296,7 +285,6 @@ def step(state: FlowState, dt: float, c_cfl: float):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     m = state.m
-    filt = _stage_filter(state.graph.grid, c_cfl)
     state.speed  # a state outside the cone raises here, not as a step failure
     evals = 0
 
@@ -308,7 +296,7 @@ def step(state: FlowState, dt: float, c_cfl: float):
     last_err: dict = {}
     for halvings in range(MAX_HALVINGS + 1):
         try:
-            new_state = _advance(state, dt, filt, _stages(state, dt, c_cfl), geometry)
+            new_state = _advance(state, dt, c_cfl, _stages(state, dt, c_cfl), geometry)
             min_kappa = float(new_state.fields.kappa.min())
             w_next = float(new_state.W[m + 1])
         except (DiscretizationError, ConeViolationError, ValueError) as exc:

@@ -1,8 +1,9 @@
 """Angular grids over S^n and their calculus.
 
 Two backends share one contract: hold a radial sample vector, return
-its spectral derivatives, and integrate scalar densities against the
-round measure.
+its spectral derivatives, integrate scalar densities against the round
+measure, and filter the azimuthal modes too stiff for the time step
+(pole_filter, the identity on the zonal grid).
 
 FullSphereGrid (n = 2 only) is a latitude-longitude grid with J x 2J
 cells whose latitudes are offset by half a cell so no node sits on a
@@ -210,3 +211,7 @@ class AxisymGrid:
 
     def integrate_sigma(self, density: np.ndarray) -> float:
         return float(np.sum(density * self.sigma_weights))
+
+    def pole_filter(self, f: np.ndarray, c_pole: float) -> np.ndarray:
+        """The identity: a zonal profile has no azimuthal modes to cut."""
+        return f

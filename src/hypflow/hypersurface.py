@@ -131,10 +131,6 @@ class RadialGraph:
     def n(self) -> int:
         return self.grid.n
 
-    @property
-    def backend(self) -> str:
-        return self.grid.backend
-
     def with_values(self, r: np.ndarray) -> "RadialGraph":
         return RadialGraph(self.grid, r)
 

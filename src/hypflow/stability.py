@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .flow import FlowTrace
+from .flow import FlowState, FlowTrace
 from .hypersurface import (
     RadialGraph,
     ShapeRejectionError,
@@ -29,7 +29,6 @@ from .hypersurface import (
     ball_profile_inverse,
     search_center,
 )
-from .symfunc import quotient_from_esym
 
 __all__ = [
     "DeficitResult",
@@ -163,7 +162,7 @@ def _sweep_one(family: Callable[[float], RadialGraph], m: int, eps: float):
         graph = family(eps)
     except ShapeRejectionError as exc:
         return ("rejected", eps, str(exc))
-    F = quotient_from_esym(m, graph.fields.E)
+    F = FlowState.create(graph, m).F
     defres = deficit(graph, m)
     if defres.raw < -_CLAMP_REL * max(abs(defres.W_m1), 1.0):
         return ("rejected", eps, f"deficit {defres.raw:.3e} below clamp window")

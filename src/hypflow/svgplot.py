@@ -23,9 +23,7 @@ _FONT = "font-family=\"Helvetica,Arial,sans-serif\""
 
 
 def _linear_ticks(lo: float, hi: float) -> list[float]:
-    """About five round-numbered ticks spanning [lo, hi]."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """About five round-numbered ticks spanning [lo, hi], lo < hi."""
     raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -101,7 +99,7 @@ class _Axes:
         return _linear_ticks(self.ylo, self.yhi)
 
 
-def _panel(series, *, title="", xlabel="", ylabel="", logx=False, logy=False,
+def _panel(series, *, title, xlabel, ylabel, logx=False, logy=False,
            ref_slopes=(), origin=(0, 0), size) -> str:
     """One plot panel as a translated <g> element."""
     ox, oy = origin
@@ -142,10 +140,10 @@ def _panel(series, *, title="", xlabel="", ylabel="", logx=False, logy=False,
                      f'font-size="11" {_FONT}>{escape(_fmt(tv))}</text>')
 
     # power-law reference lines through the data centroid (log-log panels)
-    if ref_slopes and logx and logy:
+    if ref_slopes:
         cx = 0.5 * (ax.xlo + ax.xhi)
         cy = 0.5 * (ax.ylo + ax.yhi)
-        for i, (slope, label) in enumerate(ref_slopes):
+        for slope, label in ref_slopes:
             y1 = cy + slope * (ax.xlo - cx)
             y2 = cy + slope * (ax.xhi - cx)
             X1, X2 = mleft, mleft + box[2]
@@ -179,16 +177,13 @@ def _panel(series, *, title="", xlabel="", ylabel="", logx=False, logy=False,
         parts.append(f'<text x="{lx}" y="{ly}" text-anchor="end" font-size="12" '
                      f'fill="{color}" {_FONT}>{escape(name)}</text>')
 
-    if title:
-        parts.append(f'<text x="{mleft + box[2] / 2:.1f}" y="{mtop - 10}" text-anchor="middle" '
-                     f'font-size="14" font-weight="bold" {_FONT}>{escape(title)}</text>')
-    if xlabel:
-        parts.append(f'<text x="{mleft + box[2] / 2:.1f}" y="{height - 10}" text-anchor="middle" '
-                     f'font-size="12" {_FONT}>{escape(xlabel)}</text>')
-    if ylabel:
-        cyl = mtop + box[3] / 2
-        parts.append(f'<text x="16" y="{cyl:.1f}" text-anchor="middle" font-size="12" {_FONT} '
-                     f'transform="rotate(-90 16 {cyl:.1f})">{escape(ylabel)}</text>')
+    parts.append(f'<text x="{mleft + box[2] / 2:.1f}" y="{mtop - 10}" text-anchor="middle" '
+                 f'font-size="14" font-weight="bold" {_FONT}>{escape(title)}</text>')
+    parts.append(f'<text x="{mleft + box[2] / 2:.1f}" y="{height - 10}" text-anchor="middle" '
+                 f'font-size="12" {_FONT}>{escape(xlabel)}</text>')
+    cyl = mtop + box[3] / 2
+    parts.append(f'<text x="16" y="{cyl:.1f}" text-anchor="middle" font-size="12" {_FONT} '
+                 f'transform="rotate(-90 16 {cyl:.1f})">{escape(ylabel)}</text>')
     parts.append("</g>")
     return "\n".join(parts)
 

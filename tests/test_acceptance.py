@@ -33,7 +33,7 @@ from hypflow.conformal import (
     image_convexity_margin,
     to_ball,
 )
-from hypflow.flow import FlowState, normal_speed, run
+from hypflow.flow import FlowState, run
 from hypflow.grids import AxisymGrid, FullSphereGrid
 from hypflow.hypersurface import (
     ball_profile,
@@ -87,7 +87,7 @@ class TestStationarity:
         t0 = time.monotonic()
         graph = generate_shape(FullSphereGrid(64), "sphere", 1.0)
         state = FlowState.create(graph, 1)
-        f, _ = normal_speed(state.fields, 1)
+        f, _ = state.speed
         final, trace = run(state, t_max=1.0)
         elapsed = time.monotonic() - t0
         assert np.abs(f).max() <= 1e-10
@@ -128,7 +128,7 @@ class TestRecentering:
         state0, final = recenter96["state0"], recenter96["final"]
         g = state0.graph
         r0, a = 1.0, 0.3
-        f, _ = normal_speed(state0.fields, 1)
+        f, _ = state0.speed
         cos_tc = (np.cosh(a) * np.cosh(r0) - np.cosh(g.r)) / (np.sinh(a) * np.sinh(r0))
         f_ref = np.sinh(a) * cos_tc / np.cosh(r0)
         assert np.abs(f - f_ref).max() <= 1e-6

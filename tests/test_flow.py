@@ -23,7 +23,6 @@ from hypflow.flow import (
     FlowState,
     StepFailureError,
     cfl_dt,
-    normal_speed,
     run,
     step,
 )
@@ -41,14 +40,14 @@ class TestNormalSpeed:
         for grid in [AxisymGrid(48, 2), AxisymGrid(48, 4), FullSphereGrid(48)]:
             for m in range(1, grid.n if grid.backend == "axisym" else 2):
                 st = make_state(grid, "sphere", 1.0, m=m)
-                f, rate = normal_speed(st.fields, m)
+                f, rate = st.speed
                 assert np.abs(f).max() < 1e-13
                 assert np.abs(rate).max() < 1e-13
 
     def test_offset_sphere_closed_form(self):
         r0, a = 1.0, 0.1
         st = make_state(AxisymGrid(64, 2), "offset_sphere", r0, a=a)
-        f, _ = normal_speed(st.fields, 1)
+        f, _ = st.speed
         grid = st.graph.grid
         # polar angle about the displaced center, measured from the direction
         # pointing back toward the origin
@@ -75,10 +74,10 @@ class TestNormalSpeed:
 
     def test_cone_violation_raises(self):
         grid = AxisymGrid(64, 2)
-        fields = geometry_fields(RadialGraph(grid, 1.0 + 0.2 * np.cos(6.0 * grid.theta)))
-        assert fields.E[..., 1].min() < 0.0  # genuinely outside the cone
+        graph = RadialGraph(grid, 1.0 + 0.2 * np.cos(6.0 * grid.theta))
+        assert graph.fields.E[..., 1].min() < 0.0  # genuinely outside the cone
         with pytest.raises(ConeViolationError):
-            normal_speed(fields, 1)
+            FlowState(graph, 1, 0.0, np.zeros(3)).speed
 
     def test_state_validates_order(self):
         g = generate_shape(AxisymGrid(32, 3), "sphere", 1.0)
@@ -279,13 +278,12 @@ class TestStepSizePolicy:
         # the same interval at dt, dt/2 and dt/4 on the full stage count:
         # the grid is fixed, so successive differences shrink by 2^2
         st = make_state(AxisymGrid(32, 2), eps=0.1, l=2)
-        filt = flow._stage_filter(st.graph.grid, DEFAULT_CFL)
         dt = 2.0 * cfl_dt(st, DEFAULT_CFL)
         ends = []
         for k in (1, 2, 4):
             s = st
             for _ in range(4 * k):
-                s = flow._advance(s, dt / k, filt, flow.STAGES, geometry_fields)
+                s = flow._advance(s, dt / k, DEFAULT_CFL, flow.STAGES, geometry_fields)
             ends.append(s.graph.r)
         coarse = np.abs(ends[0] - ends[1]).max()
         fine = np.abs(ends[1] - ends[2]).max()
@@ -362,3 +360,14 @@ class TestEvolutionIdentities:
         rep = variational_check(st)
         assert rep.k_residuals.max() < 1e-6
         assert rep.minkowski_residual < 1e-4
+
+    @pytest.mark.parametrize("grid,m", [(AxisymGrid(16, 2), 1), (FullSphereGrid(16), 1),
+                                        (AxisymGrid(32, 4), 2)],
+                             ids=["axisym16-n2", "full16", "axisym32-n4"])
+    def test_variational_identity_stationary_sphere(self, grid, m):
+        # f is rounding on a sphere about the origin; the scale floors |f| at
+        # the stationary speed, so rounding does not read as a unit residual:
+        # 2.2e-6, 1.9e-6 and 2.2e-6 measured
+        rep = variational_check(make_state(grid, "sphere", m=m))
+        assert rep.k_residuals.max() < 1e-5
+        assert rep.minkowski_residual < 1e-5

@@ -94,7 +94,7 @@ class TestSphereGeometry:
         assert np.abs(f.H - 3.0 / r0).max() < 1e-12
 
 
-class TestStencilReuse:
+class TestTransformReuse:
     def test_full_fields_match_single_derivative_calls(self):
         # geometry_fields transforms once per axis and builds r_theta_phi from
         # r_theta; every stored derivative must equal the one-call one bit for bit

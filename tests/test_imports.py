@@ -245,27 +245,37 @@ def test_every_default_is_set_by_some_caller():
 _EQUALITY = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
 
 
-def kind_comparisons() -> list:
-    """Every comparison in the package whose operand is a shape kind name or
-    a literal collection holding one; a new kind must stay one table row."""
+def comparisons_naming(names, paths) -> list:
+    """Every comparison in the given modules whose operand is one of the
+    names or a literal collection holding one."""
 
-    def names_kind(node):
+    def names_one(node):
         elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
-        return any(isinstance(e, ast.Constant) and e.value in SHAPE_KINDS for e in elts)
+        return any(isinstance(e, ast.Constant) and e.value in names for e in elts)
 
     hits = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if (isinstance(node, ast.Compare)
                     and any(isinstance(op, _EQUALITY) for op in node.ops)
-                    and any(names_kind(e) for e in (node.left, *node.comparators))):
+                    and any(names_one(e) for e in (node.left, *node.comparators))):
                 hits.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     return hits
 
 
 def test_no_comparison_against_a_kind_name():
-    assert kind_comparisons() == []
+    # a new kind must stay one table row
+    assert comparisons_naming(SHAPE_KINDS, sorted(PACKAGE.glob("*.py"))) == []
+
+
+#: modules that treat every grid alike: the grid methods answer for their backend
+BACKEND_BLIND = ("flow", "stability")
+
+
+def test_stepper_and_sweep_never_compare_a_backend_name():
+    backends = {grids.FullSphereGrid.backend, grids.AxisymGrid.backend}
+    assert comparisons_naming(backends, [PACKAGE / f"{name}.py" for name in BACKEND_BLIND]) == []
 
 
 def _is_record(node: ast.ClassDef) -> bool:
@@ -348,29 +358,50 @@ ONCE_PER_GRAPH = frozenset({"geometry_fields", "quermassintegrals", "inradius",
 EVALUATION_EXEMPT = {("conformal", "to_ball", "geometry_fields")}
 
 
-def evaluations_outside_the_graph() -> list:
-    """Calls in the package to a function of ONCE_PER_GRAPH made anywhere but
-    in the body of RadialGraph; a second call evaluates the same quantity of
-    the same graph again."""
-    hits = []
+def package_calls():
+    """(path, enclosing top-level definition, callee bare name, line) of
+    every call in the package."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for top in tree.body:
             owner = getattr(top, "name", None)
-            if owner == "RadialGraph":
-                continue
             for node in ast.walk(top):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in ONCE_PER_GRAPH and (path.stem, owner, name) not in EVALUATION_EXEMPT:
-                    hits.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
-    return hits
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    yield path, owner, name, node.lineno
+
+
+def evaluations_outside_the_graph() -> list:
+    """Calls in the package to a function of ONCE_PER_GRAPH made anywhere but
+    in the body of RadialGraph; a second call evaluates the same quantity of
+    the same graph again."""
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for path, owner, name, line in package_calls()
+            if name in ONCE_PER_GRAPH and owner != "RadialGraph"
+            and (path.stem, owner, name) not in EVALUATION_EXEMPT]
 
 
 def test_derived_quantities_are_evaluated_by_the_graph():
     assert evaluations_outside_the_graph() == []
+
+
+#: (module, top-level definition) allowed to form the curvature quotient from
+#: the E columns: FlowState, the one evaluator of a graph's order-m quantities,
+#: and quotient_eval, which forms it from curvatures
+QUOTIENT_HOMES = {("flow", "FlowState"), ("symfunc", "quotient_eval")}
+
+
+def quotients_outside_the_state() -> list:
+    """Calls in the package to quotient_from_esym made anywhere but in the
+    body of a definition of QUOTIENT_HOMES; every other reader of F gets it
+    from a FlowState."""
+    return [f"{path.relative_to(ROOT)}:{line}" for path, owner, name, line in package_calls()
+            if name == "quotient_from_esym" and (path.stem, owner) not in QUOTIENT_HOMES]
+
+
+def test_curvature_quotient_is_formed_by_the_state():
+    assert quotients_outside_the_state() == []
 
 
 def _tracer_tables() -> dict:

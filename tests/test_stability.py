@@ -11,7 +11,9 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+import hypflow.hypersurface as hypersurface
 import hypflow.stability as stability
 from hypflow.flow import FlowState, run
 from hypflow.grids import AxisymGrid, FullSphereGrid
@@ -204,6 +206,70 @@ class TestSweep:
     def test_empty_eps_list_rejected(self):
         with pytest.raises(ValueError):
             stability_sweep(perturbed_family(AxisymGrid(32, 2)), 1, [], n=2)
+
+    def test_order_outside_the_flow_range_rejected(self):
+        # a member's F is the flow's own, which has no order m = 0
+        with pytest.raises(ValueError):
+            stability._sweep_one(perturbed_family(AxisymGrid(32, 2)), 0, 0.05)
+
+
+def _member_dist(grid, l, order, eps):
+    """dist of the sweep member r = 1 + eps Y_l."""
+    kw = {"order": order} if grid.backend == "full" else {}
+    status, _, rec = stability._sweep_one(
+        lambda e: generate_shape(grid, "perturbed_sphere", 1.0, eps=e, l=l, **kw), 1, eps)
+    assert status == "ok"
+    return rec.dist
+
+
+def _chebyshev_gap_modulo_translations(grid, Y):
+    """min over a of (max - min)/2 of Y - a.x at the nodes: the half-range of
+    Y once the first-order move of the centre, the l = 1 function a.x, is
+    spent; Nelder-Mead restarted from its own result until it stops moving."""
+    x = grid.xyz.reshape(-1, grid.xyz.shape[-1])
+    y = Y.ravel()
+
+    def gap(a):
+        z = y - x @ a
+        return 0.5 * (z.max() - z.min())
+    a, best = np.zeros(x.shape[1]), np.inf
+    for _ in range(10):
+        res = minimize(gap, a, method="Nelder-Mead",
+                       options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 20000})
+        if res.fun >= best:
+            break
+        a, best = res.x, res.fun
+    return best
+
+
+class TestSweepDistanceLimit:
+    """dist/eps of r = 1 + eps Y_l as eps -> 0. An even Y_l keeps the best
+    centre at the origin, so dist is eps (max Y - min Y)/2 exactly; an odd
+    one moves the centre at first order, to the Chebyshev gap of Y modulo
+    the l = 1 functions."""
+
+    @pytest.mark.parametrize("grid,l,order", [
+        (AxisymGrid(64, 2), 2, 0), (AxisymGrid(64, 8), 2, 0), (FullSphereGrid(32), 2, 2),
+    ], ids=["axisym64-n2", "axisym64-n8", "full32-o2"])
+    def test_even_harmonic(self, grid, l, order):
+        # measured at most 1.3e-12
+        Y = hypersurface._harmonic(grid, l, order)
+        half = 0.5 * (Y.max() - Y.min())
+        for eps in (1e-2, 1e-3, 1e-4):
+            assert _member_dist(grid, l, order, eps) / (eps * half) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("grid,l,order", [
+        (AxisymGrid(64, 2), 3, 0), (AxisymGrid(64, 4), 3, 0),
+        (FullSphereGrid(32), 3, 1), (FullSphereGrid(32), 3, 0),
+    ], ids=["axisym64-n2", "axisym64-n4", "full32-o1", "full32-o0"])
+    def test_odd_harmonic(self, grid, l, order):
+        # measured 2.7e-6, 1.3e-5, 4.0e-7 and 2.7e-6 at eps = 1e-4; the
+        # half-range itself is off by -0.37, -0.56, -0.10 and -0.37
+        Y = hypersurface._harmonic(grid, l, order)
+        limit = _chebyshev_gap_modulo_translations(grid, Y)
+        assert limit < 0.95 * 0.5 * (Y.max() - Y.min())
+        eps = 1e-4
+        assert _member_dist(grid, l, order, eps) / eps == pytest.approx(limit, rel=1e-4)
 
 
 class TestExponentFit:
