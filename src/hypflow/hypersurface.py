@@ -23,7 +23,6 @@ from math import cosh, exp, factorial, hypot, log, pi, sinh, sqrt
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 from scipy.special import eval_gegenbauer, gammaln, lpmv
 
 from .grids import AxisymGrid, FullSphereGrid, sphere_area
@@ -340,10 +339,69 @@ def ball_profile(n: int, m: int, r: float) -> float:
 
 _UNREACHABLE = "profile value must be positive (W_m -> 0 as r -> 0)"
 
+#: Brent's tolerances and iteration cap for the ball radius
+_BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-300, 4.0 * np.finfo(float).eps, 100
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float) -> tuple[float, str]:
+    """(root, flag) of scipy 1.17.1's brentq(f, xa, xb, xtol=_BRENT_XTOL,
+    rtol=_BRENT_RTOL, maxiter=_BRENT_MAXITER, full_output=True), step for step:
+    the xblk/spre/scur loop of its brentq.c, on float64 scalars so that a 0/0
+    step is a silent NaN, which bisects, as in C. The flag is 'converged',
+    'sign error' or 'convergence error'; ValueError if f returns NaN. See R. P.
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4."""
+
+    def call(x):
+        fx = np.float64(f(float(x)))
+        if fx != fx:
+            raise ValueError(f"The function value at x={float(x)} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = np.float64(xa), np.float64(xb)
+    xblk = fblk = spre = scur = np.float64(0.0)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return float(xpre), "converged"
+    if fcur == 0:
+        return float(xcur), "converged"
+    if np.signbit(fpre) == np.signbit(fcur):
+        return 0.0, "sign error"
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return float(xcur), "converged"
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            with np.errstate(all="ignore"):
+                if xpre == xblk:   # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:              # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                bound = 3 * abs(sbis) - delta
+                short = 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound)
+        if short:
+            spre, scur = scur, stry
+        else:              # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    return float(xcur), "convergence error"
+
 
 def ball_profile_inverse(n: int, m: int, w: float) -> float:
-    """Radius of the geodesic ball with W_m = w: Brent's method on a bracket
-    grown from r = 1, the upper end by doubling, the lower by halving."""
+    """Radius of the geodesic ball with W_m = w: Brent's method (_brentq, equal
+    bit for bit to scipy's brentq) on a bracket grown from r = 1, the upper end
+    by doubling, the lower by halving."""
     if w <= 0.0:
         raise ValueError(_UNREACHABLE)
 
@@ -359,12 +417,11 @@ def ball_profile_inverse(n: int, m: int, w: float) -> float:
         lo *= 0.5
         if lo == 0.0:
             raise ValueError(_UNREACHABLE)
-    r, res = brentq(excess, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
-                    full_output=True, disp=False)
-    if not res.converged:
+    r, flag = _brentq(excess, lo, hi)
+    if flag != "converged":
         raise DiscretizationError(f"ball radius for W_{m} = {w:.17g} not found in "
-                                  f"[{lo:.17g}, {hi:.17g}]: {res.flag}")
-    return float(r)
+                                  f"[{lo:.17g}, {hi:.17g}]: {flag}")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +620,17 @@ def distance_range(grid, r: np.ndarray) -> Callable[[object], tuple[float, float
     """Evaluator c -> (min_x d(c, x), max_x d(c, x)) over the nodes of one graph,
     equal bit for bit to the min and max of geodesic_distances(grid, r, c): one
     matrix-vector product per center, then the shift by cosh rho - 1 and the map
-    to d, both monotone also in rounding, on the two extremes only."""
+    to d, both monotone also in rounding, on the two extremes only: _arc's steps
+    as scalars, math.sqrt (equal to np.sqrt) and one np.arcsinh on the pair
+    (math.asinh can differ from it in the last bit)."""
     A = _node_matrix(grid, r)
 
     def extremes(center) -> tuple[float, float]:
         C, s = _center_point(center)
         y = A @ C
-        lo, hi = _arc(np.array([y.min(), y.max()]) + s)
-        return float(lo), float(hi)
+        lo, hi = np.arcsinh((sqrt(0.5 * max(y.min() + s, 0.0)),
+                             sqrt(0.5 * max(y.max() + s, 0.0)))).tolist()
+        return 2.0 * lo, 2.0 * hi
 
     return extremes
 
@@ -584,29 +644,103 @@ class InradiusResult:
         return float(np.linalg.norm(self.center))
 
 
+#: Nelder-Mead's tolerances and iteration cap for a center search
+_XATOL, _FATOL, _MAXITER = 1e-10, 1e-12, 4000
+_MAXITER_MESSAGE = "Maximum number of iterations has been exceeded."
+
+
+def _by_value(sim: list, fsim: list) -> tuple[list, list]:
+    """Vertices and values in the order of np.argsort(fsim): a stable sort where
+    the values are distinct and not NaN, numpy's own order otherwise, since its
+    small argsorts need not keep tied values in place (on AVX-512 from 4 values)."""
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
+        order = np.argsort(fsim).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _nelder_mead(f: Callable[[np.ndarray], float], x0) -> tuple[np.ndarray, float, bool]:
+    """(x, f(x), converged) of scipy 1.17.1's minimize(f, x0, method="Nelder-Mead",
+    options={"xatol": _XATOL, "fatol": _FATOL, "maxiter": _MAXITER}), step for
+    step on float vertices (J. A. Nelder and R. Mead, Comput. J. 7, 1965); f
+    receives a float64 vector."""
+    x0 = [float(v) for v in np.ravel(x0)]
+    n = len(x0)
+    sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
+                  for k, v in enumerate(x0)]
+    fsim = [float(f(np.array(x))) for x in sim]
+    sim, fsim = _by_value(*_by_value(sim, fsim))   # scipy sorts the first simplex twice
+    iterations = 1
+    while iterations < _MAXITER:
+        best, f_best = sim[0], fsim[0]
+        # a NaN difference fails its test, as it fails np.max(...) <= tol
+        if (all(abs(a - b) <= _XATOL for x in sim[1:] for a, b in zip(x, best))
+                and all(abs(f_best - v) <= _FATOL for v in fsim[1:])):
+            break
+        # numpy's axis-0 add.reduce: from 0.0, vertex by vertex (sum() may compensate)
+        xbar = []
+        for k in range(n):
+            acc = 0.0
+            for x in sim[:-1]:
+                acc += x[k]
+            xbar.append(acc / n)
+        worst = sim[-1]
+        xr = [2 * c - w for c, w in zip(xbar, worst)]
+        fxr = float(f(np.array(xr)))
+        new = None
+        if fxr < f_best:
+            xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
+            fxe = float(f(np.array(xe)))
+            new = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            new = xr, fxr
+        elif fxr < fsim[-1]:   # contract outside
+            xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+            fxc = float(f(np.array(xc)))
+            if fxc <= fxr:
+                new = xc, fxc
+        else:                  # contract inside
+            xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+            fxcc = float(f(np.array(xcc)))
+            if fxcc < fsim[-1]:
+                new = xcc, fxcc
+        if new is None:        # shrink toward the best vertex
+            for j in range(1, n + 1):
+                sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
+                fsim[j] = float(f(np.array(sim[j])))
+        else:
+            sim[-1], fsim[-1] = new
+        iterations += 1
+        sim, fsim = _by_value(sim, fsim)
+    return np.array(sim[0]), float(np.min(fsim)), iterations < _MAXITER
+
+
 def search_center(graph: RadialGraph, objective: Callable[[np.ndarray], float], starts):
     """Center of lowest objective value; returns (center, value).
 
     Centers are exponential-chart vectors as in geodesic_distances. Each
-    start is scored as it stands, then searched from by Nelder-Mead. The
-    lowest value wins and a tie goes to the earlier candidate, the starts in
-    the order given first. A center farther than max r from the origin lies
-    outside the star-shaped body and scores +inf. DiscretizationError if no
-    search converges.
+    distinct start (a start equal to an earlier one is dropped) is scored as
+    it stands, then searched from once by Nelder-Mead (_nelder_mead, equal bit
+    for bit to scipy's). The lowest value wins and a tie goes to the earlier
+    candidate, the starts in the order given first. A center farther than
+    max r from the origin lies outside the star-shaped body and scores +inf.
+    DiscretizationError if no search converges.
     """
     span = float(graph.r.max())
 
     def bounded(center):
         return objective(center) if hypot(*np.ravel(center)) <= span else np.inf
 
-    candidates = [(start, bounded(start)) for start in starts]
-    results = [minimize(bounded, start, method="Nelder-Mead",
-                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-               for start in starts]
-    if not any(res.success for res in results):
-        raise DiscretizationError(f"center search did not converge from {len(starts)} "
-                                  f"starts: {results[0].message}")
-    candidates += [(res.x, res.fun) for res in results]
+    distinct = []
+    for start in starts:
+        if not any(np.array_equal(start, seen) for seen in distinct):
+            distinct.append(start)
+    candidates = [(start, bounded(start)) for start in distinct]
+    results = [_nelder_mead(bounded, start) for start in distinct]
+    if not any(converged for _, _, converged in results):
+        raise DiscretizationError(f"center search did not converge from {len(distinct)} "
+                                  f"starts: {_MAXITER_MESSAGE}")
+    candidates += [(x, fun) for x, fun, _ in results]
     center, value = min(candidates, key=lambda cand: cand[1])
     return center, float(value)
 

@@ -283,7 +283,8 @@ class TestStepSizePolicy:
         for k in (1, 2, 4):
             s = st
             for _ in range(4 * k):
-                s = flow._advance(s, dt / k, DEFAULT_CFL, flow.STAGES, geometry_fields)
+                s = flow._advance(s, dt / k, DEFAULT_CFL, flow.STAGES,
+                                  lambda graph: graph.fields)
             ends.append(s.graph.r)
         coarse = np.abs(ends[0] - ends[1]).max()
         fine = np.abs(ends[1] - ends[2]).max()

@@ -64,6 +64,17 @@ def test_import_leaves_multiprocessing_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_leaves_scipy_optimize_unloaded():
+    # the center search and the ball radius use the package's own Nelder-Mead
+    # and Brent, so importing hypflow loads neither scipy.optimize nor the
+    # scipy.linalg it pulls in
+    code = ("import sys, hypflow; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.linalg'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 PACKAGE = ROOT / "src" / "hypflow"
 
 #: public names no CLI path reads: geodesic_distances is the reference the
