@@ -18,7 +18,6 @@ curvature-integral recursion, geodesic-ball profiles, and the inball.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import cosh, exp, factorial, hypot, log, pi, sinh, sqrt
 from typing import Callable, NamedTuple, Optional
 
@@ -48,6 +47,7 @@ __all__ = [
     "random_hconvex_shape",
     "geodesic_distances",
     "distance_range",
+    "NodeDistances",
     "search_center",
     "inradius",
     "hconvexity_margin",
@@ -83,6 +83,26 @@ HYPERBOLIC = Warp(np.sinh, np.cosh)
 EUCLIDEAN = Warp(lambda s: np.asarray(s, dtype=float), lambda s: np.ones_like(np.asarray(s, dtype=float)))
 
 
+class cached_attribute:
+    """A method read as an attribute, evaluated on first read and stored in the
+    instance's __dict__, where every later read finds it first: the semantics of
+    functools.cached_property without the RLock that Python 3.11 takes on each
+    first read."""
+
+    def __init__(self, method: Callable):
+        self.method = method
+        self.__doc__ = method.__doc__
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class RadialGraph:
     """Positive radial sample vector over one of the angular grids.
@@ -106,24 +126,24 @@ class RadialGraph:
         object.__setattr__(self, "r", arr)
 
     def __reduce__(self):
-        # a copy is rebuilt from its radii: the cached evaluator is a closure
-        # pickle cannot write, and unpickled radii would be writable again
+        # a copy is rebuilt from its radii: the caches stay behind, and
+        # unpickled radii would be writable again
         return RadialGraph, (self.grid, self.r)
 
-    @cached_property
+    @cached_attribute
     def fields(self) -> "GeometryFields":
         return geometry_fields(self)
 
-    @cached_property
+    @cached_attribute
     def W(self) -> np.ndarray:
         return quermassintegrals(self)
 
-    @cached_property
+    @cached_attribute
     def inball(self) -> "InradiusResult":
         return inradius(self)
 
-    @cached_property
-    def extremes(self) -> Callable[[object], tuple[float, float]]:
+    @cached_attribute
+    def extremes(self) -> "NodeDistances":
         return distance_range(self.grid, self.r)
 
     @property
@@ -616,23 +636,178 @@ def geodesic_distances(grid, r: np.ndarray, center) -> np.ndarray:
     return _arc(_node_matrix(grid, r) @ C + s).reshape(r.shape)
 
 
-def distance_range(grid, r: np.ndarray) -> Callable[[object], tuple[float, float]]:
+def distance_range(grid, r: np.ndarray) -> "NodeDistances":
     """Evaluator c -> (min_x d(c, x), max_x d(c, x)) over the nodes of one graph,
-    equal bit for bit to the min and max of geodesic_distances(grid, r, c): one
-    matrix-vector product per center, then the shift by cosh rho - 1 and the map
-    to d, both monotone also in rounding, on the two extremes only: _arc's steps
-    as scalars, math.sqrt (equal to np.sqrt) and one np.arcsinh on the pair
-    (math.asinh can differ from it in the last bit)."""
-    A = _node_matrix(grid, r)
+    equal bit for bit to the min and max of geodesic_distances(grid, r, c), with
+    the polish of a center search (NodeDistances)."""
+    return NodeDistances(_node_matrix(grid, r))
 
-    def extremes(center) -> tuple[float, float]:
+
+def _chart(p: np.ndarray) -> np.ndarray:
+    """Exponential-chart vector of the center with hyperboloid coordinates
+    (sqrt(1 + |p|^2), p): w = asinh|p| p/|p|."""
+    norm = sqrt(float(p @ p))
+    return p * (np.arcsinh(norm) / norm) if norm > 0.0 else p.copy()
+
+
+#: first half-width of the box on the polish's linearized step, in hyperboloid
+#: coordinates, and the least
+_POLISH_BOX, _POLISH_MIN_BOX = 1e-3, 1e-9
+#: most linearizations per polish, and step halvings per linearization
+_POLISH_MAXITER, _POLISH_HALVINGS = 12, 3
+#: most exchanges per linear minimax
+_EXCHANGE_MAXITER = 200
+
+
+def _rounding(d: np.ndarray) -> float:
+    """Rounding allowance of a linear minimax over distances d."""
+    return 8.0 * np.finfo(float).eps * float(np.abs(d).max())
+
+
+def _exchange(d: np.ndarray, G: np.ndarray, two_sided: bool, box: float):
+    """Linear minimax of the nodes' linearized distances L = d + G @ delta, by
+    single exchange (E. Stiefel, Numer. Math. 1, 1959): the dual simplex method
+    on the linear program in z = (delta, R, h), R only when two_sided,
+
+        minimize h  subject to  sign (L_i - R) <= h  over nodes i and signs,
+                                |delta_l| <= box,
+
+    with both signs when two_sided (the radial gap: h the half gap, R the
+    midrange) and sign -1 alone otherwise (the inball: -h its radius). A
+    reference is k + 1 + two_sided constraints, a node i with its sign
+    (i, sign) or a box face (-1 - l, sign), that hold with equality: M z = b.
+    Its multipliers solve M^T lam = -e_h. The first reference, the extreme
+    nodes and the box faces, has lam >= 0, and each exchange brings in the
+    most violated constraint and sends out the one the ratio test names, so
+    lam stays >= 0 and h does not fall. Returns (z, reference, lam) once no
+    constraint is violated by more than rounding; lam >= 0 on a reference of
+    nodes at the extremes certifies a center as optimal."""
+    k = G.shape[1]
+    size = k + 1 + two_sided
+    tol = _rounding(d)
+
+    def row(constraint):
+        index, sign = constraint
+        a = np.zeros(size)
+        if index < 0:
+            a[-1 - index] = sign
+            return a, box
+        a[:k] = sign * G[index]
+        if two_sided:
+            a[k] = -sign
+        a[-1] = -1.0
+        return a, -sign * d[index]
+
+    lo, hi = int(np.argmin(d)), int(np.argmax(d))
+    face = G[hi] - G[lo] if two_sided else -G[lo]
+    reference = [(hi, 1.0)] if two_sided else []
+    reference += [(lo, -1.0)] + [(-1 - l, -1.0 if face[l] > 0.0 else 1.0) for l in range(k)]
+    M, b = map(np.array, zip(*map(row, reference)))
+    for _ in range(_EXCHANGE_MAXITER):
+        inverse = np.linalg.inv(M)
+        z, lam = inverse @ b, -inverse[-1]
+        level = z[k] if two_sided else 0.0
+        L = d + G @ z[:k]
+        top, bottom, side = int(np.argmax(L)), int(np.argmin(L)), int(np.argmax(np.abs(z[:k])))
+        excess = {(bottom, -1.0): level - L[bottom] - z[-1],
+                  (-1 - side, 1.0 if z[side] > 0.0 else -1.0): abs(z[side]) - box}
+        if two_sided:
+            excess[(top, 1.0)] = L[top] - level - z[-1]
+        entering = max(excess, key=excess.get)
+        if not excess[entering] > tol or entering in reference:
+            break
+        a, value = row(entering)
+        ratio = a @ inverse
+        usable = ratio > 1e-14 * np.abs(ratio).max()
+        if not usable.any():
+            break
+        leaving = int(np.flatnonzero(usable)[np.argmin(lam[usable] / ratio[usable])])
+        reference[leaving], M[leaving], b[leaving] = entering, a, value
+    return z, reference, lam
+
+
+class NodeDistances:
+    """Distances from a center to the nodes of one graph through their
+    hyperboloid-model rows A (_node_matrix): cosh d - 1 = A @ C + cosh rho - 1 at
+    the center's point C (_center_point). Called with a center, it returns (min
+    d, max d) from one matrix-vector product; polish carries a center search to
+    the exact optimum."""
+
+    def __init__(self, A: np.ndarray):
+        self.A = A
+
+    def __call__(self, center) -> tuple[float, float]:
+        return self._read(center)[3]
+
+    def _read(self, center):
+        """(C, cosh rho - 1, A @ C, (min d, max d)) at a center. The shift by
+        cosh rho - 1 and the map to d, both monotone also in rounding, act on
+        the two extremes of A @ C only: _arc's steps as scalars, math.sqrt
+        (equal to np.sqrt) and one np.arcsinh on the pair (math.asinh can
+        differ from it in the last bit)."""
         C, s = _center_point(center)
-        y = A @ C
+        y = self.A @ C
         lo, hi = np.arcsinh((sqrt(0.5 * max(y.min() + s, 0.0)),
                              sqrt(0.5 * max(y.max() + s, 0.0)))).tolist()
-        return 2.0 * lo, 2.0 * hi
+        return C, s, y, (2.0 * lo, 2.0 * hi)
 
-    return extremes
+    def _linearize(self, reading, two_sided: bool, box: float):
+        """(d, G) at a reading of _read: the distance d_i and its gradient in the
+        hyperboloid coordinates p = C[1:] of the center,
+
+            grad_p d_i = (cosh r_i p / P0 - sinh r_i xhat_i) / sinh d_i,
+
+        P0 = sqrt(1 + |p|^2) = C[0], smooth at the origin unlike the exponential
+        chart; over the nodes within 2 sqrt(k) box of min d, and of max d when
+        two_sided. As |grad_p d_i| <= 1, a step with |delta_l| <= box moves no
+        node by more than sqrt(k) box, so no node left out can be active in the
+        linear minimax (_exchange) over the box."""
+        C, s, y, (lo, hi) = reading
+        band = 2.0 * sqrt(C.size - 1) * box
+        keep = y <= 2.0 * sinh(0.5 * (lo + band)) ** 2 - s
+        if two_sided:
+            keep |= y >= 2.0 * sinh(0.5 * max(hi - band, 0.0)) ** 2 - s
+        index = np.flatnonzero(keep)
+        A, y = self.A[index], y[index] + s
+        sinh_d = np.sqrt(y) * np.sqrt(y + 2.0)
+        G = ((A[:, :1] + 1.0) * (C[1:] / C[0]) + A[:, 1:]) / sinh_d[:, None]
+        return _arc(y), G
+
+    def polish(self, center, two_sided: bool) -> tuple[np.ndarray, tuple[float, float]]:
+        """(center, (min d, max d)) at the optimum of the radial gap (max d - min
+        d)/2 when two_sided, of the inball radius min d otherwise, from a center
+        in its basin: the Osborne-Watson iteration (M. R. Osborne and G. A.
+        Watson, Comput. J. 12, 1969). Each round linearizes the distances at
+        the center, solves the linear minimax over a box (_exchange) and steps,
+        halving the step until the evaluator reads strictly better; the next
+        box is four times the step taken. The polish ends when the linear
+        minimax promises no gain beyond rounding or no halving helps. A center
+        already at the optimum, such as the origin of a sphere about it, comes
+        back unchanged."""
+
+        def value(extremes):
+            lo, hi = extremes
+            return 0.5 * (hi - lo) if two_sided else -lo
+
+        center = np.asarray(center, dtype=float)
+        reading, box = self._read(center), _POLISH_BOX
+        for _ in range(_POLISH_MAXITER):
+            d, G = self._linearize(reading, two_sided, box)
+            z, _, _ = _exchange(d, G, two_sided, box)
+            best = value(reading[3])
+            if not z[-1] < best - _rounding(d):
+                break
+            step = z[:G.shape[1]]
+            for halving in range(_POLISH_HALVINGS + 1):
+                trial = _chart(reading[0][1:] + 0.5 ** halving * step)
+                trial_reading = self._read(trial)
+                if value(trial_reading[3]) < best:
+                    center, reading = trial, trial_reading
+                    break
+            else:
+                break
+            box = max(4.0 * 0.5 ** halving * float(np.abs(step).max()), _POLISH_MIN_BOX)
+        return center, reading[3]
 
 
 @dataclass
@@ -644,46 +819,35 @@ class InradiusResult:
         return float(np.linalg.norm(self.center))
 
 
-#: Nelder-Mead's tolerances and iteration cap for a center search
-_XATOL, _FATOL, _MAXITER = 1e-10, 1e-12, 4000
+#: Nelder-Mead's tolerances and iteration cap for a center search: loose, since
+#: the polish (NodeDistances.polish) takes the search's result to the optimum
+_XATOL, _FATOL, _MAXITER = 1e-2, 1e-5, 4000
 _MAXITER_MESSAGE = "Maximum number of iterations has been exceeded."
 
 
-def _by_value(sim: list, fsim: list) -> tuple[list, list]:
-    """Vertices and values in the order of np.argsort(fsim): a stable sort where
-    the values are distinct and not NaN, numpy's own order otherwise, since its
-    small argsorts need not keep tied values in place (on AVX-512 from 4 values)."""
-    order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
-        order = np.argsort(fsim).tolist()
-    return [sim[i] for i in order], [fsim[i] for i in order]
-
-
 def _nelder_mead(f: Callable[[np.ndarray], float], x0) -> tuple[np.ndarray, float, bool]:
-    """(x, f(x), converged) of scipy 1.17.1's minimize(f, x0, method="Nelder-Mead",
-    options={"xatol": _XATOL, "fatol": _FATOL, "maxiter": _MAXITER}), step for
-    step on float vertices (J. A. Nelder and R. Mead, Comput. J. 7, 1965); f
+    """(x, f(x), converged) of Nelder-Mead from x0 (J. A. Nelder and R. Mead,
+    Comput. J. 7, 1965) with scipy's initial simplex, coefficients and stopping
+    test at xatol _XATOL, fatol _FATOL and at most _MAXITER iterations; f
     receives a float64 vector."""
     x0 = [float(v) for v in np.ravel(x0)]
     n = len(x0)
     sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
                   for k, v in enumerate(x0)]
     fsim = [float(f(np.array(x))) for x in sim]
-    sim, fsim = _by_value(*_by_value(sim, fsim))   # scipy sorts the first simplex twice
     iterations = 1
-    while iterations < _MAXITER:
+    while True:
+        # a stable sort by value
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
         best, f_best = sim[0], fsim[0]
-        # a NaN difference fails its test, as it fails np.max(...) <= tol
+        # a NaN difference fails its test
         if (all(abs(a - b) <= _XATOL for x in sim[1:] for a, b in zip(x, best))
                 and all(abs(f_best - v) <= _FATOL for v in fsim[1:])):
             break
-        # numpy's axis-0 add.reduce: from 0.0, vertex by vertex (sum() may compensate)
-        xbar = []
-        for k in range(n):
-            acc = 0.0
-            for x in sim[:-1]:
-                acc += x[k]
-            xbar.append(acc / n)
+        if iterations == _MAXITER:
+            break
+        xbar = [sum(column) / n for column in zip(*sim[:-1])]
         worst = sim[-1]
         xr = [2 * c - w for c, w in zip(xbar, worst)]
         fxr = float(f(np.array(xr)))
@@ -711,8 +875,7 @@ def _nelder_mead(f: Callable[[np.ndarray], float], x0) -> tuple[np.ndarray, floa
         else:
             sim[-1], fsim[-1] = new
         iterations += 1
-        sim, fsim = _by_value(sim, fsim)
-    return np.array(sim[0]), float(np.min(fsim)), iterations < _MAXITER
+    return np.array(sim[0]), fsim[0], iterations < _MAXITER
 
 
 def search_center(graph: RadialGraph, objective: Callable[[np.ndarray], float], starts):
@@ -720,8 +883,8 @@ def search_center(graph: RadialGraph, objective: Callable[[np.ndarray], float], 
 
     Centers are exponential-chart vectors as in geodesic_distances. Each
     distinct start (a start equal to an earlier one is dropped) is scored as
-    it stands, then searched from once by Nelder-Mead (_nelder_mead, equal bit
-    for bit to scipy's). The lowest value wins and a tie goes to the earlier
+    it stands, then searched from once by Nelder-Mead (_nelder_mead) to the
+    basin of the optimum. The lowest value wins and a tie goes to the earlier
     candidate, the starts in the order given first. A center farther than
     max r from the origin lies outside the star-shaped body and scores +inf.
     DiscretizationError if no search converges.
@@ -749,9 +912,9 @@ def inradius(graph: RadialGraph) -> InradiusResult:
     """Largest rho so some center keeps every boundary node at distance >= rho.
 
     Max-min search through search_center, from the origin and a
-    center-of-mass proxy; the objective is nonsmooth, hence a simplex search.
-    Trial centers are scored through the graph's distance_range evaluator,
-    one matrix-vector product each.
+    center-of-mass proxy, to the optimum's basin, then polished to the optimum
+    (NodeDistances.polish). Trial centers are scored through the graph's
+    distance_range evaluator, one matrix-vector product each.
     """
     grid, r, extremes = graph.grid, graph.r, graph.extremes
 
@@ -763,8 +926,9 @@ def inradius(graph: RadialGraph) -> InradiusResult:
     starts = [np.zeros(com.size)]
     if com_norm > 1e-12:
         starts.append(com / com_norm * min(0.3 * float(r.min()), com_norm))
-    center, value = search_center(graph, neg_min_distance, starts)
-    return InradiusResult(-value, center)
+    center, _ = search_center(graph, neg_min_distance, starts)
+    center, (rho, _) = extremes.polish(center, two_sided=False)
+    return InradiusResult(rho, center)
 
 
 def hconvexity_margin(fields: GeometryFields) -> float:

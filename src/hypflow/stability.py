@@ -94,7 +94,8 @@ class SphereFit:
 
 def sphere_fit(graph: RadialGraph) -> SphereFit:
     """Search the center that minimizes the radial gap, from the origin and
-    from the inball center."""
+    from the inball center, to the optimum's basin, then polish it to the
+    optimum (NodeDistances.polish)."""
     inr, extremes = graph.inball, graph.extremes
 
     def gap(center):
@@ -102,7 +103,7 @@ def sphere_fit(graph: RadialGraph) -> SphereFit:
         return 0.5 * (hi - lo)
 
     best, _ = search_center(graph, gap, [np.zeros_like(inr.center), inr.center])
-    lo, hi = extremes(best)
+    best, (lo, hi) = extremes.polish(best, two_sided=True)
     return SphereFit(center=np.array(best, dtype=float), radius=0.5 * (hi + lo),
                      cheb=0.5 * (hi - lo))
 

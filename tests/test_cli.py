@@ -530,7 +530,7 @@ class TestMainSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         data = (tmp_path / "sweep.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
-            "a6852ef5e85eeae882c9e8b7a48c4b3fb9d85253f0bd6ea52a464995c485ff6f")
+            "7de8f566e6c233976f1a1793df70086075e67eaf6ae464222419b9d8433a8136")
 
     def test_summary_line(self, tmp_path, capsys):
         cfg = str(Path(__file__).resolve().parent.parent / "scripts" / "configs"

@@ -105,6 +105,24 @@ class TestSphereFit:
         assert fit.center_norm() < 1e-6
         assert fit.cheb == pytest.approx(eps * y_half_range, rel=0.02)
 
+    def test_dist_does_not_depend_on_the_start(self):
+        # the polish takes the search to the optimum itself, so dist is
+        # reproducible to rounding, not only to the simplex's fatol
+        graph = generate_shape(FullSphereGrid(32), "perturbed_sphere", 1.0, eps=0.0125,
+                               l=3, order=1)
+        extremes = graph.extremes
+
+        def gap(center):
+            lo, hi = extremes(center)
+            return 0.5 * (hi - lo)
+        dists = []
+        for start in (np.zeros(3), np.array([0.02, -0.01, 0.01])):
+            center, (lo, hi) = extremes.polish(hypersurface.search_center(graph, gap, [start])[0],
+                                               True)
+            dists.append(0.5 * (hi - lo))
+        assert dists[1] == pytest.approx(dists[0], rel=1e-13)
+        assert sphere_fit(graph).cheb == pytest.approx(dists[0], rel=1e-13)
+
     @pytest.mark.parametrize("grid", [FullSphereGrid(32), AxisymGrid(48, 2), AxisymGrid(48, 4)],
                              ids=["full", "axisym_n2", "axisym_n4"])
     def test_sphere_about_origin_centers_exactly_at_origin(self, grid):
