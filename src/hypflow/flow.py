@@ -32,6 +32,7 @@ F and speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .hypersurface import (
     GeometryFields,
     RadialGraph,
     DiscretizationError,
-    cached_attribute,
     integrate,
     traceless_measures,
 )
@@ -122,12 +122,12 @@ class FlowState:
     def W(self) -> np.ndarray:
         return self.graph.W
 
-    @cached_attribute
+    @cached_property
     def F(self) -> np.ndarray:
         """Curvature quotient E_m/E_{m-1} at every node."""
         return quotient_from_esym(self.m, self.fields.E)
 
-    @cached_attribute
+    @cached_property
     def speed(self) -> tuple[np.ndarray, np.ndarray]:
         """Normal speed f = lam'/F - u and the graph-gauge rate dr/dt = f*v."""
         F, fields = self.F, self.fields
@@ -136,7 +136,7 @@ class FlowState:
         f = fields.lamp / F - fields.u
         return f, f * fields.v
 
-    @cached_attribute
+    @cached_property
     def traceless(self) -> tuple[float, float]:
         """(L^2 norm, sup norm) of the traceless second fundamental form."""
         return traceless_measures(self.fields)

@@ -18,6 +18,7 @@ curvature-integral recursion, geodesic-ball profiles, and the inball.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import cosh, exp, factorial, hypot, log, pi, sinh, sqrt
 from typing import Callable, NamedTuple, Optional
 
@@ -48,7 +49,6 @@ __all__ = [
     "geodesic_distances",
     "distance_range",
     "NodeDistances",
-    "search_center",
     "inradius",
     "hconvexity_margin",
     "traceless_measures",
@@ -83,26 +83,6 @@ HYPERBOLIC = Warp(np.sinh, np.cosh)
 EUCLIDEAN = Warp(lambda s: np.asarray(s, dtype=float), lambda s: np.ones_like(np.asarray(s, dtype=float)))
 
 
-class cached_attribute:
-    """A method read as an attribute, evaluated on first read and stored in the
-    instance's __dict__, where every later read finds it first: the semantics of
-    functools.cached_property without the RLock that Python 3.11 takes on each
-    first read."""
-
-    def __init__(self, method: Callable):
-        self.method = method
-        self.__doc__ = method.__doc__
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.method(instance)
-        return value
-
-
 @dataclass(frozen=True)
 class RadialGraph:
     """Positive radial sample vector over one of the angular grids.
@@ -130,19 +110,19 @@ class RadialGraph:
         # unpickled radii would be writable again
         return RadialGraph, (self.grid, self.r)
 
-    @cached_attribute
+    @cached_property
     def fields(self) -> "GeometryFields":
         return geometry_fields(self)
 
-    @cached_attribute
+    @cached_property
     def W(self) -> np.ndarray:
         return quermassintegrals(self)
 
-    @cached_attribute
+    @cached_property
     def inball(self) -> "InradiusResult":
         return inradius(self)
 
-    @cached_attribute
+    @cached_property
     def extremes(self) -> "NodeDistances":
         return distance_range(self.grid, self.r)
 
@@ -639,8 +619,8 @@ def geodesic_distances(grid, r: np.ndarray, center) -> np.ndarray:
 def distance_range(grid, r: np.ndarray) -> "NodeDistances":
     """Evaluator c -> (min_x d(c, x), max_x d(c, x)) over the nodes of one graph,
     equal bit for bit to the min and max of geodesic_distances(grid, r, c), with
-    the polish of a center search (NodeDistances)."""
-    return NodeDistances(_node_matrix(grid, r))
+    the center search of the inball and the best-fit sphere (NodeDistances.search)."""
+    return NodeDistances(_node_matrix(grid, r), float(r.max()))
 
 
 def _chart(p: np.ndarray) -> np.ndarray:
@@ -657,6 +637,13 @@ _POLISH_BOX, _POLISH_MIN_BOX = 1e-3, 1e-9
 _POLISH_MAXITER, _POLISH_HALVINGS = 12, 3
 #: most exchanges per linear minimax
 _EXCHANGE_MAXITER = 200
+
+
+def _value(extremes: tuple[float, float], two_sided: bool) -> float:
+    """What a center search minimizes over (min d, max d): the radial gap (max d -
+    min d)/2 when two_sided, minus the inball radius min d otherwise."""
+    lo, hi = extremes
+    return 0.5 * (hi - lo) if two_sided else -lo
 
 
 def _rounding(d: np.ndarray) -> float:
@@ -730,11 +717,12 @@ class NodeDistances:
     """Distances from a center to the nodes of one graph through their
     hyperboloid-model rows A (_node_matrix): cosh d - 1 = A @ C + cosh rho - 1 at
     the center's point C (_center_point). Called with a center, it returns (min
-    d, max d) from one matrix-vector product; polish carries a center search to
-    the exact optimum."""
+    d, max d) from one matrix-vector product; search finds the center of the
+    inball or of the best-fit sphere. A center farther than span, the largest
+    node radius, from the origin lies outside the star-shaped body."""
 
-    def __init__(self, A: np.ndarray):
-        self.A = A
+    def __init__(self, A: np.ndarray, span: float):
+        self.A, self.span = A, span
 
     def __call__(self, center) -> tuple[float, float]:
         return self._read(center)[3]
@@ -761,14 +749,18 @@ class NodeDistances:
         chart; over the nodes within 2 sqrt(k) box of min d, and of max d when
         two_sided. As |grad_p d_i| <= 1, a step with |delta_l| <= box moves no
         node by more than sqrt(k) box, so no node left out can be active in the
-        linear minimax (_exchange) over the box."""
+        linear minimax (_exchange) over the box. A band as wide as the node
+        spread keeps every node."""
         C, s, y, (lo, hi) = reading
         band = 2.0 * sqrt(C.size - 1) * box
-        keep = y <= 2.0 * sinh(0.5 * (lo + band)) ** 2 - s
-        if two_sided:
-            keep |= y >= 2.0 * sinh(0.5 * max(hi - band, 0.0)) ** 2 - s
-        index = np.flatnonzero(keep)
-        A, y = self.A[index], y[index] + s
+        A = self.A
+        if lo + band < hi:
+            keep = y <= 2.0 * sinh(0.5 * (lo + band)) ** 2 - s
+            if two_sided:
+                keep |= y >= 2.0 * sinh(0.5 * max(hi - band, 0.0)) ** 2 - s
+            index = np.flatnonzero(keep)
+            A, y = A[index], y[index]
+        y = y + s
         sinh_d = np.sqrt(y) * np.sqrt(y + 2.0)
         G = ((A[:, :1] + 1.0) * (C[1:] / C[0]) + A[:, 1:]) / sinh_d[:, None]
         return _arc(y), G
@@ -783,31 +775,54 @@ class NodeDistances:
         box is four times the step taken. The polish ends when the linear
         minimax promises no gain beyond rounding or no halving helps. A center
         already at the optimum, such as the origin of a sphere about it, comes
-        back unchanged."""
-
-        def value(extremes):
-            lo, hi = extremes
-            return 0.5 * (hi - lo) if two_sided else -lo
-
+        back unchanged. DiscretizationError if _POLISH_MAXITER rounds do not end
+        it: the polish settles in a few rounds wherever the grid resolves the
+        shape."""
         center = np.asarray(center, dtype=float)
         reading, box = self._read(center), _POLISH_BOX
         for _ in range(_POLISH_MAXITER):
             d, G = self._linearize(reading, two_sided, box)
             z, _, _ = _exchange(d, G, two_sided, box)
-            best = value(reading[3])
+            best = _value(reading[3], two_sided)
             if not z[-1] < best - _rounding(d):
                 break
             step = z[:G.shape[1]]
             for halving in range(_POLISH_HALVINGS + 1):
                 trial = _chart(reading[0][1:] + 0.5 ** halving * step)
                 trial_reading = self._read(trial)
-                if value(trial_reading[3]) < best:
+                if _value(trial_reading[3], two_sided) < best:
                     center, reading = trial, trial_reading
                     break
             else:
                 break
             box = max(4.0 * 0.5 ** halving * float(np.abs(step).max()), _POLISH_MIN_BOX)
+        else:
+            raise DiscretizationError(f"center polish did not settle in {_POLISH_MAXITER} "
+                                      "rounds: the grid does not resolve the shape")
         return center, reading[3]
+
+    def search(self, starts, two_sided: bool) -> tuple[np.ndarray, tuple[float, float]]:
+        """(center, (min d, max d)) at the optimum of _value, the radial gap when
+        two_sided, the inball radius otherwise. Centers are exponential-chart
+        vectors as in geodesic_distances. Nelder-Mead (_nelder_mead) runs once
+        from each distinct start (a start equal to an earlier one is dropped)
+        into the optimum's basin, a center farther than span from the origin
+        scoring +inf, and the polish carries the lowest result to the optimum.
+        DiscretizationError if no simplex converges."""
+
+        def objective(center):
+            return _value(self(center), two_sided) if hypot(*center) <= self.span else np.inf
+
+        distinct = []
+        for start in starts:
+            if not any(np.array_equal(start, seen) for seen in distinct):
+                distinct.append(start)
+        results = [_nelder_mead(objective, start) for start in distinct]
+        if not any(converged for _, _, converged in results):
+            raise DiscretizationError(f"center search did not converge from {len(distinct)} "
+                                      f"starts: {_MAXITER_MESSAGE}")
+        center, _, _ = min(results, key=lambda result: result[1])
+        return self.polish(center, two_sided)
 
 
 @dataclass
@@ -878,56 +893,19 @@ def _nelder_mead(f: Callable[[np.ndarray], float], x0) -> tuple[np.ndarray, floa
     return np.array(sim[0]), fsim[0], iterations < _MAXITER
 
 
-def search_center(graph: RadialGraph, objective: Callable[[np.ndarray], float], starts):
-    """Center of lowest objective value; returns (center, value).
-
-    Centers are exponential-chart vectors as in geodesic_distances. Each
-    distinct start (a start equal to an earlier one is dropped) is scored as
-    it stands, then searched from once by Nelder-Mead (_nelder_mead) to the
-    basin of the optimum. The lowest value wins and a tie goes to the earlier
-    candidate, the starts in the order given first. A center farther than
-    max r from the origin lies outside the star-shaped body and scores +inf.
-    DiscretizationError if no search converges.
-    """
-    span = float(graph.r.max())
-
-    def bounded(center):
-        return objective(center) if hypot(*np.ravel(center)) <= span else np.inf
-
-    distinct = []
-    for start in starts:
-        if not any(np.array_equal(start, seen) for seen in distinct):
-            distinct.append(start)
-    candidates = [(start, bounded(start)) for start in distinct]
-    results = [_nelder_mead(bounded, start) for start in distinct]
-    if not any(converged for _, _, converged in results):
-        raise DiscretizationError(f"center search did not converge from {len(distinct)} "
-                                  f"starts: {_MAXITER_MESSAGE}")
-    candidates += [(x, fun) for x, fun, _ in results]
-    center, value = min(candidates, key=lambda cand: cand[1])
-    return center, float(value)
-
-
 def inradius(graph: RadialGraph) -> InradiusResult:
     """Largest rho so some center keeps every boundary node at distance >= rho.
 
-    Max-min search through search_center, from the origin and a
-    center-of-mass proxy, to the optimum's basin, then polished to the optimum
-    (NodeDistances.polish). Trial centers are scored through the graph's
-    distance_range evaluator, one matrix-vector product each.
+    The max-min center search of the graph's distance evaluator
+    (NodeDistances.search) from the origin and a center-of-mass proxy.
     """
-    grid, r, extremes = graph.grid, graph.r, graph.extremes
-
-    def neg_min_distance(center):
-        return -extremes(center)[0]
-
+    grid, r = graph.grid, graph.r
     com = np.tensordot(grid.sigma_weights * r, grid.xyz, axes=r.ndim)
     com_norm = np.linalg.norm(com)
     starts = [np.zeros(com.size)]
     if com_norm > 1e-12:
         starts.append(com / com_norm * min(0.3 * float(r.min()), com_norm))
-    center, _ = search_center(graph, neg_min_distance, starts)
-    center, (rho, _) = extremes.polish(center, two_sided=False)
+    center, (rho, _) = graph.extremes.search(starts, two_sided=False)
     return InradiusResult(rho, center)
 
 

@@ -27,7 +27,6 @@ from .hypersurface import (
     ShapeRejectionError,
     ball_profile,
     ball_profile_inverse,
-    search_center,
 )
 
 __all__ = [
@@ -93,17 +92,10 @@ class SphereFit:
 
 
 def sphere_fit(graph: RadialGraph) -> SphereFit:
-    """Search the center that minimizes the radial gap, from the origin and
-    from the inball center, to the optimum's basin, then polish it to the
-    optimum (NodeDistances.polish)."""
-    inr, extremes = graph.inball, graph.extremes
-
-    def gap(center):
-        lo, hi = extremes(center)
-        return 0.5 * (hi - lo)
-
-    best, _ = search_center(graph, gap, [np.zeros_like(inr.center), inr.center])
-    best, (lo, hi) = extremes.polish(best, two_sided=True)
+    """The center search of the graph's distance evaluator for the least radial
+    gap (NodeDistances.search), from the origin and from the inball center."""
+    center = graph.inball.center
+    best, (lo, hi) = graph.extremes.search([np.zeros_like(center), center], two_sided=True)
     return SphereFit(center=np.array(best, dtype=float), radius=0.5 * (hi + lo),
                      cheb=0.5 * (hi - lo))
 

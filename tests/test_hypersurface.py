@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from hypflow import hypersurface
 from hypflow.grids import AxisymGrid, FullSphereGrid
 from hypflow.hypersurface import (
     EUCLIDEAN,
@@ -36,7 +37,6 @@ from hypflow.hypersurface import (
     integrate,
     quermassintegrals,
     random_hconvex_shape,
-    search_center,
     sinh_power_integral,
     traceless_measures,
 )
@@ -418,22 +418,28 @@ class TestDistancesAndInradius:
 
     @pytest.mark.parametrize("grid", [FullSphereGrid(16), AxisymGrid(16, 2)],
                              ids=["full", "axisym"])
-    def test_search_center_tie_goes_to_first_start(self, grid):
-        # a flat objective ties every candidate: the first start wins as given
+    def test_search_center_that_never_settles_raises(self, grid, monkeypatch):
+        # one iteration: the first simplex about a start off the origin is
+        # wider than xatol, so no simplex converges
+        monkeypatch.setattr(hypersurface, "_MAXITER", 1)
         graph = generate_shape(grid, "sphere", 1.0)
-        starts = [0.25, -0.5] if grid.backend == "axisym" else [np.full(3, 0.1), np.zeros(3)]
-        center, value = search_center(graph, lambda c: 2.0, starts)
-        assert center is starts[0]
-        assert value == 2.0
-
-    @pytest.mark.parametrize("grid", [FullSphereGrid(16), AxisymGrid(16, 2)],
-                             ids=["full", "axisym"])
-    def test_search_center_that_never_settles_raises(self, grid):
-        # a fresh random value per call: no simplex meets fatol within maxiter
-        graph = generate_shape(grid, "sphere", 1.0)
-        rng = np.random.default_rng(0)
+        start = np.full(grid.xyz.shape[-1], 0.3)
         with pytest.raises(DiscretizationError, match="center search did not converge"):
-            search_center(graph, lambda c: rng.random(), [np.zeros(grid.xyz.shape[-1])])
+            graph.extremes.search([start], True)
+
+    def test_unresolved_offset_spheres_raise(self):
+        # the grid does not resolve the node inball of these offset spheres
+        # (neighbouring nodes lie farther apart than r0): the polish runs out
+        # of rounds and says so, where it once overflowed in sinh or could
+        # read a wrong radius. At J=48 the first shape reads r0
+        for grid, r0, a in [(AxisymGrid(24, 4), 10.0, 3.0), (FullSphereGrid(16), 10.0, 3.0),
+                            (FullSphereGrid(16), 12.0, 6.0)]:
+            graph = generate_shape(grid, "offset_sphere", r0, hconvex_floor=-np.inf, a=a)
+            with pytest.raises(DiscretizationError, match="center polish did not settle"):
+                inradius(graph)
+        graph = generate_shape(AxisymGrid(48, 4), "offset_sphere", 10.0, hconvex_floor=-np.inf,
+                               a=3.0)
+        assert abs(inradius(graph).rho - 10.0) <= 1e-12
 
     def test_inradius_sphere(self):
         res = inradius(generate_shape(AxisymGrid(48, 2), "sphere", 1.2))

@@ -415,6 +415,21 @@ def test_curvature_quotient_is_formed_by_the_state():
     assert quotients_outside_the_state() == []
 
 
+#: the two stages of a center search, the simplex and the polish
+SEARCH_STAGES = frozenset({"_nelder_mead", "polish"})
+
+
+def search_stages_outside_the_evaluator() -> list:
+    """Calls in the package to a stage of SEARCH_STAGES made anywhere but in
+    the body of NodeDistances, whose search runs both as one routine."""
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for path, owner, name, line in package_calls()
+            if name in SEARCH_STAGES and owner != "NodeDistances"]
+
+
+def test_center_search_stages_run_in_one_routine():
+    assert search_stages_outside_the_evaluator() == []
+
+
 def _tracer_tables() -> dict:
     """FUNCTIONS and METHODS as perfbench/tracer.py assigns them, read from
     its source without importing it."""

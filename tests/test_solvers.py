@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 from hypflow import hypersurface
 from hypflow.grids import AxisymGrid, FullSphereGrid
-from hypflow.hypersurface import ball_profile, generate_shape, inradius, search_center
+from hypflow.hypersurface import ball_profile, generate_shape, inradius
 from hypflow.stability import sphere_fit
 
 
@@ -47,7 +47,7 @@ def certificate(graph, center, two_sided):
     d, G = extremes._linearize(reading, two_sided, box)
     z, reference, lam = hypersurface._exchange(d, G, two_sided, box)
     lo, hi = reading[3]
-    value = 0.5 * (hi - lo) if two_sided else -lo
+    value = hypersurface._value(reading[3], two_sided)
     spread = max(abs(d[i] - (hi if sign > 0 else lo))
                  for (i, sign), m in zip(reference, lam) if i >= 0 and m > 1e-14)
     faces = [m for (i, _), m in zip(reference, lam) if i < 0]
@@ -84,15 +84,11 @@ class TestNelderMead:
         # a zonal shape even under z -> -z: the best centre is the origin, and
         # the polish certifies it there whatever start the search comes from
         graph = generate_shape(FullSphereGrid(16), "perturbed_sphere", 1.0, eps=0.05, l=2)
-        extremes = graph.extremes
-
-        def gap(center):
-            lo, hi = extremes(center)
-            return 0.5 * (hi - lo)
+        lo, hi = graph.extremes(np.zeros(3))
         for start in (np.zeros(3), np.array([0.01, 0.01, 0.0]), np.array([0.0, 0.0, 0.05])):
-            center, (lo, hi) = extremes.polish(search_center(graph, gap, [start])[0], True)
+            center, extremes = graph.extremes.search([start], True)
             assert np.abs(center).max() <= 1e-14
-            assert 0.5 * (hi - lo) == pytest.approx(gap(np.zeros(3)), rel=1e-15)
+            assert hypersurface._value(extremes, True) == pytest.approx(0.5 * (hi - lo), rel=1e-15)
             assert_certified(graph, center, True)
 
     def test_exhausted_cap(self, monkeypatch):
@@ -157,9 +153,9 @@ class TestPolish:
 
         def neg_min(center):
             return -extremes(center)[0]
-        center, value = search_center(graph, neg_min, [np.zeros(3)])
+        center, value, converged = hypersurface._nelder_mead(neg_min, np.zeros(3))
         _, (lo, _) = extremes.polish(center, False)
-        assert -lo < value
+        assert converged and -lo < value
         assert inradius(graph).rho == pytest.approx(lo, rel=1e-13)
 
 

@@ -110,15 +110,9 @@ class TestSphereFit:
         # reproducible to rounding, not only to the simplex's fatol
         graph = generate_shape(FullSphereGrid(32), "perturbed_sphere", 1.0, eps=0.0125,
                                l=3, order=1)
-        extremes = graph.extremes
-
-        def gap(center):
-            lo, hi = extremes(center)
-            return 0.5 * (hi - lo)
         dists = []
         for start in (np.zeros(3), np.array([0.02, -0.01, 0.01])):
-            center, (lo, hi) = extremes.polish(hypersurface.search_center(graph, gap, [start])[0],
-                                               True)
+            _, (lo, hi) = graph.extremes.search([start], True)
             dists.append(0.5 * (hi - lo))
         assert dists[1] == pytest.approx(dists[0], rel=1e-13)
         assert sphere_fit(graph).cheb == pytest.approx(dists[0], rel=1e-13)
@@ -126,8 +120,8 @@ class TestSphereFit:
     @pytest.mark.parametrize("grid", [FullSphereGrid(32), AxisymGrid(48, 2), AxisymGrid(48, 4)],
                              ids=["full", "axisym_n2", "axisym_n4"])
     def test_sphere_about_origin_centers_exactly_at_origin(self, grid):
-        # the origin is a start of both searches and wins every tie with a
-        # search result, so no rounding-level offset survives
+        # the origin is a start of both searches and no simplex vertex off it
+        # reads better, so no rounding-level offset survives
         graph = generate_shape(grid, "sphere", 1.0)
         assert inradius(graph).center_norm() == 0.0
         assert sphere_fit(graph).center_norm() == 0.0
