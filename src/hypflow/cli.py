@@ -12,9 +12,9 @@ Commands:
 
 Configs are strict: unknown keys are rejected and every violation is
 reported with its key path. Outputs are byte-deterministic for a fixed
-config and seed (17 significant digits, LF line endings, UTF-8); the sweep
-config's `threads` key sets the number of worker processes the sweep forks
-and never changes the bytes; sweeps need a platform with `fork`, such as Linux.
+config and seed (17 significant digits, LF line endings, UTF-8); a sweep
+forks one worker process per CPU, never more than it has members, and needs
+a platform with `fork`, such as Linux.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 verification
 failure, 5 I/O error.
@@ -110,7 +110,6 @@ class ExperimentConfig:
     shape: Optional[ShapeSpec] = None
     flow: FlowParams = field(default_factory=FlowParams)
     sweep_eps: list = field(default_factory=list)
-    threads: Optional[int] = None
     seed: int = 0
 
     def build_grid(self):
@@ -129,14 +128,12 @@ def _finite(v) -> bool:
 
 
 #: every numeric config key by path: (integer, lower bound, whether the lower bound
-#: is strict, upper bound); 342 is the largest n whose sphere_area(n) is finite, and
-#: a sweep forks one process per thread, so 64 keeps a config from forking thousands
+#: is strict, upper bound); 342 is the largest n whose sphere_area(n) is finite
 _NUMERIC = {
     "n": (True, 2, False, 342),
     "J": (True, 16, False, None),
     "m": (True, 1, False, None),
     "seed": (True, 0, False, None),
-    "threads": (True, 1, False, 64),
     "shape.r0": (False, 0.0, True, None),
     "shape.a": (False, 0.0, False, None),
     "shape.eps": (False, 0.0, False, None),
@@ -182,7 +179,7 @@ def _reader(obj: dict, allowed, errs: list, path: str = ""):
 _COMMAND_KEYS = {
     "quermass": {"n", "m", "backend", "J", "shape"},
     "flow": {"n", "m", "backend", "J", "shape", "flow"},
-    "sweep": {"n", "m", "backend", "J", "shape", "sweep", "threads"},
+    "sweep": {"n", "m", "backend", "J", "shape", "sweep"},
     "conformal": {"n", "backend", "J", "shape"},
     "verify": {"seed"},
 }
@@ -272,7 +269,6 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
                         errs.append(f"sweep.eps_list[{i}]: must be finite")
                     else:
                         eps.append(float(v))
-        get("threads")
 
     if errs:
         raise ConfigError(errs)
@@ -352,7 +348,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str, plot: bool) -> int:
     def family(eps: float) -> RadialGraph:
         return spec.build(grid, **{amplitude: eps})
 
-    result = stability_sweep(family, cfg.m, cfg.sweep_eps, n=cfg.n, workers=cfg.threads)
+    result = stability_sweep(family, cfg.m, cfg.sweep_eps, n=cfg.n)
     csv_path = os.path.join(out_dir, "sweep.csv")
     _emit_csv(csv_path, result.csv_lines())
     keys = " ".join(f"{key}={v:g}" for key, v in spec.params.items())

@@ -633,8 +633,8 @@ def _chart(p: np.ndarray) -> np.ndarray:
 #: first half-width of the box on the polish's linearized step, in hyperboloid
 #: coordinates, and the least
 _POLISH_BOX, _POLISH_MIN_BOX = 1e-3, 1e-9
-#: most linearizations per polish, and step halvings per linearization
-_POLISH_MAXITER, _POLISH_HALVINGS = 12, 3
+#: most linearizations per polish
+_POLISH_MAXITER = 12
 #: most exchanges per linear minimax
 _EXCHANGE_MAXITER = 200
 
@@ -770,14 +770,14 @@ class NodeDistances:
         d)/2 when two_sided, of the inball radius min d otherwise, from a center
         in its basin: the Osborne-Watson iteration (M. R. Osborne and G. A.
         Watson, Comput. J. 12, 1969). Each round linearizes the distances at
-        the center, solves the linear minimax over a box (_exchange) and steps,
-        halving the step until the evaluator reads strictly better; the next
-        box is four times the step taken. The polish ends when the linear
-        minimax promises no gain beyond rounding or no halving helps. A center
-        already at the optimum, such as the origin of a sphere about it, comes
-        back unchanged. DiscretizationError if _POLISH_MAXITER rounds do not end
-        it: the polish settles in a few rounds wherever the grid resolves the
-        shape."""
+        the center, solves the linear minimax over a box (_exchange) and takes
+        the step whole, the box keeping it within the linearization's reach;
+        the next box is four times the step. The polish ends when the linear
+        minimax promises no gain beyond rounding or the step does not read
+        strictly better. A center already at the optimum, such as the origin of
+        a sphere about it, comes back unchanged. DiscretizationError if
+        _POLISH_MAXITER rounds do not end it: the polish settles in a few rounds
+        wherever the grid resolves the shape."""
         center = np.asarray(center, dtype=float)
         reading, box = self._read(center), _POLISH_BOX
         for _ in range(_POLISH_MAXITER):
@@ -787,15 +787,12 @@ class NodeDistances:
             if not z[-1] < best - _rounding(d):
                 break
             step = z[:G.shape[1]]
-            for halving in range(_POLISH_HALVINGS + 1):
-                trial = _chart(reading[0][1:] + 0.5 ** halving * step)
-                trial_reading = self._read(trial)
-                if _value(trial_reading[3], two_sided) < best:
-                    center, reading = trial, trial_reading
-                    break
-            else:
+            trial = _chart(reading[0][1:] + step)
+            trial_reading = self._read(trial)
+            if not _value(trial_reading[3], two_sided) < best:
                 break
-            box = max(4.0 * 0.5 ** halving * float(np.abs(step).max()), _POLISH_MIN_BOX)
+            center, reading = trial, trial_reading
+            box = max(4.0 * float(np.abs(step).max()), _POLISH_MIN_BOX)
         else:
             raise DiscretizationError(f"center polish did not settle in {_POLISH_MAXITER} "
                                       "rounds: the grid does not resolve the shape")

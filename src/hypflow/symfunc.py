@@ -61,23 +61,18 @@ def esym_all(kappa) -> np.ndarray:
 def esym_grad(k: int, kappa) -> np.ndarray:
     """Gradient dE_k/dkappa_i, shape (..., n).
 
-    dE_k/dkappa_i = sigma_{k-1}(kappa with i removed) / C(n, k); each
-    reduced spectrum is re-accumulated from scratch, which is O(n^2) but
-    cancellation-free.
+    dE_k/dkappa_i = sigma_{k-1}(kappa with i removed) / C(n, k); the n
+    reduced spectra are stacked and accumulated in one esym_all call, which
+    is O(n^2) but cancellation-free.
     """
     arr = _kappa_array(kappa)
     n = arr.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"order k={k} out of range [1, {n}]")
-    grad = np.empty_like(arr)
-    for i in range(n):
-        reduced = np.delete(arr, i, axis=-1)
-        if k - 1 == 0:
-            grad[..., i] = 1.0
-        else:
-            sigma = esym_all(reduced)[..., k - 1] * comb(n - 1, k - 1)
-            grad[..., i] = sigma
-    return grad / comb(n, k)
+    if k == 1:
+        return np.full_like(arr, 1.0 / n)
+    keep = [[j for j in range(n) if j != i] for i in range(n)]
+    return esym_all(arr[..., keep])[..., k - 1] * comb(n - 1, k - 1) / comb(n, k)
 
 
 def quotient_eval(m: int, kappa) -> tuple[np.ndarray | float, np.ndarray]:

@@ -22,7 +22,7 @@ from hypflow.cli import (
 )
 from hypflow.flow import FlowState, FlowTrace, StepFailureError, run
 from hypflow.grids import AxisymGrid, FullSphereGrid
-from hypflow.hypersurface import DiscretizationError, generate_shape
+from hypflow.hypersurface import SHAPE_KINDS, DiscretizationError, generate_shape
 from hypflow.stability import SweepRecord
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -133,7 +133,7 @@ class TestParseConfig:
         bad = json.loads(json.dumps(SWEEP_CFG).replace(
             '"r0": 1.0', f'"r0": {huge}').replace("[0.05, 0.1, 0.2]",
                                                   f"[0.05, NaN, Infinity, {huge}]"))
-        bad.update(n=10 ** 400, J=10 ** 400, threads=10 ** 400)
+        bad.update(n=10 ** 400, J=10 ** 400)
         bad["shape"].update(l=10 ** 400, order=10 ** 400)
         with pytest.raises(ConfigError) as exc:
             parse_config(bad, "sweep")
@@ -144,15 +144,21 @@ class TestParseConfig:
                                     "shape.order: must be finite",
                                     "sweep.eps_list[1]: must be finite",
                                     "sweep.eps_list[2]: must be finite",
-                                    "sweep.eps_list[3]: must be finite",
-                                    "threads: must be finite"]
+                                    "sweep.eps_list[3]: must be finite"]
 
-    def test_threads_bounded(self):
-        # a sweep forks one worker per thread and per member, up to this bound
-        assert parse_config(dict(SWEEP_CFG, threads=64), "sweep").threads == 64
-        with pytest.raises(ConfigError) as exc:
-            parse_config(dict(SWEEP_CFG, threads=5000), "sweep")
-        assert exc.value.errors == ["threads: must be <= 64, got 5000"]
+    def test_config_tables_in_step(self):
+        # every numeric row names a key some command admits, and every admitted
+        # numeric key has a row: without one, `get` raises KeyError
+        admitted = set().union(*cli._COMMAND_KEYS.values())
+        shape_keys = {"r0"}.union(*(kind.keys for kind in SHAPE_KINDS.values()))
+        for path in cli._NUMERIC:
+            group, _, key = path.rpartition(".")
+            assert key in {"": admitted, "shape": shape_keys,
+                           "flow": set(cli._FLOW_KEYS)}[group], path
+        for key in shape_keys:
+            assert f"shape.{key}" in cli._NUMERIC, key
+        for key in cli._FLOW_KEYS:
+            assert f"flow.{key}" in cli._NUMERIC, key
 
     def test_shape_key_sets_are_strict(self):
         with pytest.raises(ConfigError, match="shape.a: unknown key"):
@@ -498,15 +504,12 @@ class TestMainSweep:
         assert 'data-slope="0.333333"' in svg
         assert 'data-slope="0.5"' in svg
 
-    def test_thread_invariance(self, tmp_path):
-        blobs = []
-        for threads, sub in ((1, "t1"), (3, "t3")):
-            cfg = write_config(tmp_path, dict(SWEEP_CFG, threads=threads),
-                               name=f"cfg{threads}.json")
-            out = tmp_path / sub
-            assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
-            blobs.append((out / "sweep.csv").read_bytes())
-        assert blobs[0] == blobs[1]
+    def test_threads_key_is_unknown(self, tmp_path, capsys):
+        # the worker count is the CPU count, capped by the members; no config sets it
+        cfg = write_config(tmp_path, dict(SWEEP_CFG, threads=2))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: threads: unknown key"]
 
     def test_member_failure_exits_numerical(self, tmp_path, capfd, monkeypatch):
         # the member fails in a worker process; its typed error reaches main
@@ -517,7 +520,7 @@ class TestMainSweep:
                 raise DiscretizationError("synthetic failure at eps 0.1")
             return real(grid, kind, **kw)
         monkeypatch.setattr(cli, "generate_shape", failing)
-        cfg = write_config(tmp_path, dict(SWEEP_CFG, threads=2))
+        cfg = write_config(tmp_path, SWEEP_CFG)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
         assert capfd.readouterr().err.splitlines() == [
             "numerical failure: synthetic failure at eps 0.1"]
